@@ -22,8 +22,8 @@
 # so ASan/UBSan sees any out-of-mapping read) and the truncation
 # fail-closed sweep; storage_test's concurrent AtomicWriteFile race is
 # TSan's view of the unique-tmp rename protocol. codec_test is the
-# decode-kernel differential fuzz: the SWAR and SSSE3 shuffle kernels
-# use wide loads with explicit tail guards, and running the
+# decode-kernel differential fuzz: the SSSE3 shuffle kernel uses
+# 16-byte loads with explicit tail guards, and running the
 # every-prefix-truncation and random-garbage sweeps under ASan is the
 # proof those guards never read past the posting block.
 #

@@ -11,15 +11,45 @@
 
 namespace tix::codec {
 
-using internal::DecodeU32Scalar;
-using internal::DecodeU32Swar;
-using internal::kErrTrailing;
-using internal::kErrVarint;
 using internal::kV4Len;
-using internal::V4CtrlLen;
-using internal::V4PaddingOk;
 
 namespace {
+
+constexpr char kErrVarint[] = "posting block: truncated or overlong varint";
+constexpr char kErrTrailing[] = "posting block: trailing bytes after tail";
+
+constexpr size_t V4CtrlLen(size_t nvals) { return (nvals + 3) / 4; }
+
+/// Unused codes in the last (partial) control byte must be zero; this is
+/// the v4 analogue of the v3 trailing-bytes check, so a flipped padding
+/// bit cannot hide in an otherwise valid block.
+bool V4PaddingOk(const uint8_t* ctrl, size_t nvals) {
+  if ((nvals & 3) == 0) return true;
+  return (ctrl[nvals >> 2] >> ((nvals & 3) * 2)) == 0;
+}
+
+/// Bounded LEB128 decode of one uint32. Returns the advanced pointer, or
+/// nullptr on truncated input, a fifth byte carrying more than the top
+/// four value bits, or a continuation past the fifth byte. Kept on raw
+/// pointers (instead of GetVarint32's string_view interface) so the
+/// per-posting hot loop does no view re-slicing.
+const uint8_t* DecodeU32(const uint8_t* p, const uint8_t* end,
+                         uint32_t* out) {
+  uint32_t result = 0;
+  int shift = 0;
+  for (int i = 0; i < 5; ++i) {
+    if (p >= end) return nullptr;
+    const uint32_t byte = *p++;
+    result |= (byte & 0x7fu) << shift;
+    if ((byte & 0x80u) == 0) {
+      if (i == 4 && (byte >> 4) != 0) return nullptr;  // beyond 32 bits
+      *out = result;
+      return p;
+    }
+    shift += 7;
+  }
+  return nullptr;  // five continuation bytes: overlong
+}
 
 void EncodeBlockTailV3(const uint32_t* triples, size_t count,
                        std::string* out) {
@@ -98,24 +128,19 @@ void EncodeBlockTailV4(const uint32_t* triples, size_t count,
 DecodeKernel PickKernel() {
   if (const char* env = std::getenv("TIX_DECODE_KERNEL")) {
     if (std::strcmp(env, "scalar") == 0) return DecodeKernel::kScalar;
-    if (std::strcmp(env, "swar") == 0) return DecodeKernel::kSwar;
     if (std::strcmp(env, "simd") == 0 &&
         DecodeKernelAvailable(DecodeKernel::kSimd)) {
       return DecodeKernel::kSimd;
     }
   }
   return DecodeKernelAvailable(DecodeKernel::kSimd) ? DecodeKernel::kSimd
-                                                    : DecodeKernel::kSwar;
+                                                    : DecodeKernel::kScalar;
 }
 
 std::atomic<int> g_active_kernel{-1};
 
-}  // namespace
-
-namespace internal {
-
-Status DecodeTailV3Scalar(std::string_view bytes, size_t count,
-                          uint32_t* triples) {
+Status DecodeTailV3(std::string_view bytes, size_t count,
+                    uint32_t* triples) {
   const uint8_t* p = reinterpret_cast<const uint8_t*>(bytes.data());
   const uint8_t* const end = p + bytes.size();
   uint32_t prev_doc = triples[0];
@@ -125,9 +150,9 @@ Status DecodeTailV3Scalar(std::string_view bytes, size_t count,
     uint32_t doc_delta = 0;
     uint32_t node_delta = 0;
     uint32_t pos_delta = 0;
-    if ((p = DecodeU32Scalar(p, end, &doc_delta)) == nullptr ||
-        (p = DecodeU32Scalar(p, end, &node_delta)) == nullptr ||
-        (p = DecodeU32Scalar(p, end, &pos_delta)) == nullptr) {
+    if ((p = DecodeU32(p, end, &doc_delta)) == nullptr ||
+        (p = DecodeU32(p, end, &node_delta)) == nullptr ||
+        (p = DecodeU32(p, end, &pos_delta)) == nullptr) {
       return Status::Corruption(kErrVarint);
     }
     if (doc_delta != 0) {
@@ -147,47 +172,16 @@ Status DecodeTailV3Scalar(std::string_view bytes, size_t count,
   return Status::OK();
 }
 
-Status DecodeTailV3Swar(std::string_view bytes, size_t count,
-                        uint32_t* triples) {
-  const uint8_t* p = reinterpret_cast<const uint8_t*>(bytes.data());
-  const uint8_t* const end = p + bytes.size();
-  uint32_t prev_doc = triples[0];
-  uint32_t prev_node = triples[1];
-  uint32_t prev_pos = triples[2];
-  for (size_t i = 1; i < count; ++i) {
-    uint32_t doc_delta = 0;
-    uint32_t node_delta = 0;
-    uint32_t pos_delta = 0;
-    if ((p = DecodeU32Swar(p, end, &doc_delta)) == nullptr ||
-        (p = DecodeU32Swar(p, end, &node_delta)) == nullptr ||
-        (p = DecodeU32Swar(p, end, &pos_delta)) == nullptr) {
-      return Status::Corruption(kErrVarint);
-    }
-    // Branchless reset: keep is all-ones only when the doc did not
-    // change, so node/pos deltas chain; otherwise they are absolute.
-    const uint32_t keep = doc_delta == 0 ? ~0u : 0u;
-    prev_doc += doc_delta;
-    prev_node = (prev_node & keep) + node_delta;
-    prev_pos = (prev_pos & keep) + pos_delta;
-    triples[3 * i] = prev_doc;
-    triples[3 * i + 1] = prev_node;
-    triples[3 * i + 2] = prev_pos;
-  }
-  if (p != end) {
-    return Status::Corruption(kErrTrailing);
-  }
-  return Status::OK();
-}
+}  // namespace
 
-namespace {
+namespace internal {
 
-/// The v3/v4 split puts the control stream first, so decoding walks two
-/// pointers: `vi` indexes 2-bit codes, `data` walks the payload.
-/// Templated on the per-value loader so the scalar (byte shifts) and
-/// SWAR (masked 4-byte load) kernels share the framing logic exactly.
-template <typename LoadValue>
-Status DecodeTailV4Generic(std::string_view bytes, size_t count,
-                           uint32_t* triples, LoadValue load_value) {
+/// The control stream comes first, so decoding walks two pointers: `vi`
+/// indexes 2-bit codes, `data` walks the payload. Posting i's deltas are
+/// values 3(i-1) .. 3(i-1)+2, and its predecessor is already in
+/// `triples`, whether it is the block head or came from `bulk`.
+Status DecodeTailV4(std::string_view bytes, size_t count, uint32_t* triples,
+                    V4BulkDecoder bulk) {
   const size_t nvals = count > 0 ? 3 * (count - 1) : 0;
   const size_t ctrl_len = V4CtrlLen(nvals);
   if (bytes.size() < ctrl_len) return Status::Corruption(kErrVarint);
@@ -195,11 +189,14 @@ Status DecodeTailV4Generic(std::string_view bytes, size_t count,
   const uint8_t* data = ctrl + ctrl_len;
   const uint8_t* const end = ctrl + bytes.size();
   if (!V4PaddingOk(ctrl, nvals)) return Status::Corruption(kErrVarint);
-  uint32_t prev_doc = triples[0];
-  uint32_t prev_node = triples[1];
-  uint32_t prev_pos = triples[2];
-  size_t vi = 0;
-  for (size_t i = 1; i < count; ++i) {
+  const size_t first = bulk != nullptr && count > 1
+                           ? bulk(ctrl, &data, end, count, triples)
+                           : 1;
+  uint32_t prev_doc = triples[3 * (first - 1)];
+  uint32_t prev_node = triples[3 * (first - 1) + 1];
+  uint32_t prev_pos = triples[3 * (first - 1) + 2];
+  size_t vi = 3 * (first - 1);
+  for (size_t i = first; i < count; ++i) {
     uint32_t d[3];
     for (int k = 0; k < 3; ++k, ++vi) {
       const uint32_t code = (ctrl[vi >> 2] >> ((vi & 3) * 2)) & 3u;
@@ -207,7 +204,11 @@ Status DecodeTailV4Generic(std::string_view bytes, size_t count,
       if (static_cast<size_t>(end - data) < len) {
         return Status::Corruption(kErrVarint);
       }
-      d[k] = load_value(data, end, len);
+      uint32_t v = 0;
+      for (uint32_t b = 0; b < len; ++b) {
+        v |= static_cast<uint32_t>(data[b]) << (8 * b);
+      }
+      d[k] = v;
       data += len;
     }
     const uint32_t keep = d[0] == 0 ? ~0u : 0u;
@@ -224,53 +225,12 @@ Status DecodeTailV4Generic(std::string_view bytes, size_t count,
   return Status::OK();
 }
 
-}  // namespace
-
-Status DecodeTailV4Scalar(std::string_view bytes, size_t count,
-                          uint32_t* triples) {
-  return DecodeTailV4Generic(
-      bytes, count, triples,
-      [](const uint8_t* data, const uint8_t* /*end*/, uint32_t len) {
-        uint32_t v = 0;
-        for (uint32_t b = 0; b < len; ++b) {
-          v |= static_cast<uint32_t>(data[b]) << (8 * b);
-        }
-        return v;
-      });
-}
-
-Status DecodeTailV4Swar(std::string_view bytes, size_t count,
-                        uint32_t* triples) {
-  return DecodeTailV4Generic(
-      bytes, count, triples,
-      [](const uint8_t* data, const uint8_t* end, uint32_t len) -> uint32_t {
-        if constexpr (std::endian::native == std::endian::little) {
-          // One unconditional 4-byte load masked down to `len` bytes;
-          // only near the very end of the tail is the load shortened.
-          if (end - data >= 4) {
-            uint32_t w;
-            std::memcpy(&w, data, 4);
-            static constexpr uint32_t kMask[5] = {0u, 0xffu, 0xffffu, 0u,
-                                                  0xffffffffu};
-            return w & kMask[len];
-          }
-        }
-        uint32_t v = 0;
-        for (uint32_t b = 0; b < len; ++b) {
-          v |= static_cast<uint32_t>(data[b]) << (8 * b);
-        }
-        return v;
-      });
-}
-
 }  // namespace internal
 
 const char* DecodeKernelName(DecodeKernel kernel) {
   switch (kernel) {
     case DecodeKernel::kScalar:
       return "scalar";
-    case DecodeKernel::kSwar:
-      return "swar";
     case DecodeKernel::kSimd:
       return "simd";
   }
@@ -280,7 +240,6 @@ const char* DecodeKernelName(DecodeKernel kernel) {
 bool DecodeKernelAvailable(DecodeKernel kernel) {
   switch (kernel) {
     case DecodeKernel::kScalar:
-    case DecodeKernel::kSwar:
       return true;
     case DecodeKernel::kSimd: {
       const cpu::Features& f = cpu::GetFeatures();
@@ -321,25 +280,10 @@ Status DecodeBlockTailWithKernel(TailFormat format, DecodeKernel kernel,
                                  std::string_view bytes, size_t count,
                                  uint32_t* triples) {
   TIX_CHECK(DecodeKernelAvailable(kernel));
-  if (format == TailFormat::kV4) {
-    switch (kernel) {
-      case DecodeKernel::kScalar:
-        return internal::DecodeTailV4Scalar(bytes, count, triples);
-      case DecodeKernel::kSwar:
-        return internal::DecodeTailV4Swar(bytes, count, triples);
-      case DecodeKernel::kSimd:
-        return internal::DecodeTailV4Simd(bytes, count, triples);
-    }
-  }
-  switch (kernel) {
-    case DecodeKernel::kScalar:
-      return internal::DecodeTailV3Scalar(bytes, count, triples);
-    case DecodeKernel::kSwar:
-      return internal::DecodeTailV3Swar(bytes, count, triples);
-    case DecodeKernel::kSimd:
-      return internal::DecodeTailV3Simd(bytes, count, triples);
-  }
-  return Status::Internal("unknown decode kernel");
+  if (format == TailFormat::kV3) return DecodeTailV3(bytes, count, triples);
+  return kernel == DecodeKernel::kSimd
+             ? internal::DecodeTailV4Simd(bytes, count, triples)
+             : internal::DecodeTailV4(bytes, count, triples, nullptr);
 }
 
 Status DecodeBlockTail(TailFormat format, std::string_view bytes, size_t count,

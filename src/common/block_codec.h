@@ -40,12 +40,16 @@
 /// and the index layer supplies `Posting` storage (three uint32 fields,
 /// statically asserted there to have exactly this layout).
 ///
-/// Decoding is served by one of three kernels chosen at process start:
-/// the scalar reference loop, a branchless SWAR (64-bit word-at-a-time)
-/// decoder, or an SSSE3/SSE4.1 shuffle-table decoder. All three agree
-/// bit-for-bit on outputs *and* Status outcomes (tests/codec_test.cc
-/// fuzzes them differentially). TIX_DECODE_KERNEL=scalar|swar|simd
-/// overrides the automatic pick.
+/// Every file the index layer writes uses kV4; kV3 tails are still read
+/// (older files and segments) and can be written on request by
+/// InvertedIndex::SaveToFile(path, 3).
+///
+/// Decoding is served by one of two kernels chosen at process start: the
+/// scalar reference loop, or an SSSE3/SSE4.1 shuffle-table decoder for
+/// kV4 (kV3 tails always take the scalar loop). Both agree bit-for-bit
+/// on outputs *and* Status outcomes (tests/codec_test.cc fuzzes them
+/// differentially). TIX_DECODE_KERNEL=scalar|simd overrides the
+/// automatic pick.
 
 namespace tix::codec {
 
@@ -56,20 +60,20 @@ enum class TailFormat : uint8_t {
   kV4 = 4,  ///< StreamVByte-style control bytes + data bytes
 };
 
-/// Decode implementation. kScalar is the portable reference; kSwar is
-/// portable too (plain 64-bit arithmetic); kSimd requires SSSE3+SSE4.1
-/// and an x86 build.
-enum class DecodeKernel : uint8_t { kScalar = 0, kSwar = 1, kSimd = 2 };
+/// Decode implementation. kScalar is the portable reference; kSimd
+/// requires SSSE3+SSE4.1 and an x86 build, and decodes kV3 tails with
+/// the scalar loop.
+enum class DecodeKernel : uint8_t { kScalar = 0, kSimd = 1 };
 
-/// "scalar", "swar" or "simd".
+/// "scalar" or "simd".
 const char* DecodeKernelName(DecodeKernel kernel);
 
 /// Whether `kernel` can run on this machine (build arch + CPUID).
 bool DecodeKernelAvailable(DecodeKernel kernel);
 
 /// The kernel DecodeBlockTail uses. Chosen once on first call: the
-/// TIX_DECODE_KERNEL env var if set to an available kernel, else the
-/// best available (simd > swar). Thread-safe.
+/// TIX_DECODE_KERNEL env var if set to an available kernel, else simd
+/// when available, else scalar. Thread-safe.
 DecodeKernel ActiveDecodeKernel();
 
 /// Test/bench hook: force the active kernel. CHECK-fails if `kernel` is

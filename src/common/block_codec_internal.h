@@ -1,121 +1,48 @@
 #ifndef TIX_COMMON_BLOCK_CODEC_INTERNAL_H_
 #define TIX_COMMON_BLOCK_CODEC_INTERNAL_H_
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <string_view>
 
 #include "common/result.h"
 
 /// \file
-/// Shared guts of the block-tail decode kernels. Two translation units
-/// implement kernels: block_codec.cc (scalar + SWAR, portable) and
-/// block_codec_simd.cc (SSSE3/SSE4.1 shuffle tables, x86 only). This
-/// header carries the single-varint decoders and framing helpers both
-/// use, so the kernels cannot drift apart on error semantics — every
-/// boundary case in every kernel funnels through the same two decoders
-/// and the same two error strings.
+/// Shared guts of the v4 block-tail decode kernels. block_codec.cc owns
+/// the one v4 decode loop (framing, per-value decode, error checks);
+/// block_codec_simd.cc (SSSE3/SSE4.1 shuffle tables, x86 only) only
+/// supplies a bulk decoder that loop runs first. So the two kernels
+/// cannot drift apart on error semantics: every accept/reject decision
+/// is made by the same code.
 
 namespace tix::codec::internal {
-
-inline constexpr char kErrVarint[] =
-    "posting block: truncated or overlong varint";
-inline constexpr char kErrTrailing[] =
-    "posting block: trailing bytes after tail";
-
-/// The SIMD kernels stage deltas for up to this many postings on the
-/// stack; larger blocks (never produced by the index layer, whose
-/// blocks hold kSkipInterval = 128 postings) fall back to SWAR.
-inline constexpr size_t kSimdMaxCount = 128;
-inline constexpr size_t kMaxTailValues = 3 * (kSimdMaxCount - 1) + 3;
-
-/// Bounded LEB128 decode of one uint32. Returns the advanced pointer, or
-/// nullptr on truncated input, a fifth byte carrying more than the top
-/// four value bits, or a continuation past the fifth byte. Kept on raw
-/// pointers (instead of GetVarint32's string_view interface) so the
-/// per-posting hot loop does no view re-slicing.
-inline const uint8_t* DecodeU32Scalar(const uint8_t* p, const uint8_t* end,
-                                      uint32_t* out) {
-  uint32_t result = 0;
-  int shift = 0;
-  for (int i = 0; i < 5; ++i) {
-    if (p >= end) return nullptr;
-    const uint32_t byte = *p++;
-    result |= (byte & 0x7fu) << shift;
-    if ((byte & 0x80u) == 0) {
-      if (i == 4 && (byte >> 4) != 0) return nullptr;  // beyond 32 bits
-      *out = result;
-      return p;
-    }
-    shift += 7;
-  }
-  return nullptr;  // five continuation bytes: overlong
-}
-
-/// Branchless word-at-a-time LEB128 decode: one 64-bit load finds the
-/// terminator with a mask + countr_zero instead of a byte loop. Exactly
-/// DecodeU32Scalar's accept/reject behaviour; falls back to it within 8
-/// bytes of the buffer end or on big-endian builds.
-inline const uint8_t* DecodeU32Swar(const uint8_t* p, const uint8_t* end,
-                                    uint32_t* out) {
-  if (p < end && *p < 0x80) {  // 1-byte varints dominate posting deltas
-    *out = *p;
-    return p + 1;
-  }
-  if constexpr (std::endian::native != std::endian::little) {
-    return DecodeU32Scalar(p, end, out);
-  }
-  if (end - p < 8) return DecodeU32Scalar(p, end, out);
-  uint64_t w;
-  std::memcpy(&w, p, 8);
-  const uint64_t stops = ~w & 0x8080808080808080ull;
-  if (stops == 0) return nullptr;  // continuation through byte 8: overlong
-  const unsigned len =
-      static_cast<unsigned>(std::countr_zero(stops) >> 3) + 1;
-  if (len > 5) return nullptr;  // continuation past the fifth byte
-  uint64_t payload = (w & 0x7f7f7f7f7f7f7f7full) & ((1ull << (len * 8)) - 1);
-  if (len == 5 && (payload >> 32) > 0x0full) return nullptr;  // beyond 32 bits
-  const uint64_t x = (payload & 0x7f) | ((payload & 0x7f00) >> 1) |
-                     ((payload & 0x7f0000) >> 2) |
-                     ((payload & 0x7f000000) >> 3) |
-                     ((payload & 0x7f00000000ull) >> 4);
-  *out = static_cast<uint32_t>(x);
-  return p + len;
-}
 
 /// v4 length-code table: 2-bit codes 0..3 map to 0/1/2/4 data bytes.
 inline constexpr uint32_t kV4Len[4] = {0, 1, 2, 4};
 
-inline constexpr size_t V4CtrlLen(size_t nvals) { return (nvals + 3) / 4; }
+/// An accelerated prefix of a v4 decode. Given a framed tail (`ctrl` is
+/// the control stream, `*data` the first data byte, `end` one past the
+/// tail) it decodes postings [1, n) for an n <= count of its choosing,
+/// writes them to `triples`, advances `*data` past their data bytes and
+/// returns n. It reads no byte at or past `end` and detects no errors;
+/// the caller decodes postings [n, count) and checks the tail.
+using V4BulkDecoder = size_t (*)(const uint8_t* ctrl, const uint8_t** data,
+                                 const uint8_t* end, size_t count,
+                                 uint32_t* triples);
 
-/// Unused codes in the last (partial) control byte must be zero; this is
-/// the v4 analogue of the v3 trailing-bytes check, so a flipped padding
-/// bit cannot hide in an otherwise valid block.
-inline bool V4PaddingOk(const uint8_t* ctrl, size_t nvals) {
-  if ((nvals & 3) == 0) return true;
-  return (ctrl[nvals >> 2] >> ((nvals & 3) * 2)) == 0;
-}
+/// The v4 decode loop of both kernels: checks framing, runs `bulk` (null
+/// for the scalar kernel), decodes the remaining postings one value at
+/// a time, and rejects trailing bytes.
+Status DecodeTailV4(std::string_view bytes, size_t count, uint32_t* triples,
+                    V4BulkDecoder bulk);
 
-// Kernel entry points. The scalar/SWAR four live in block_codec.cc, the
-// SIMD pair in block_codec_simd.cc (which delegates to SWAR on blocks
-// past kSimdMaxCount and on non-x86 builds).
-Status DecodeTailV3Scalar(std::string_view bytes, size_t count,
-                          uint32_t* triples);
-Status DecodeTailV3Swar(std::string_view bytes, size_t count,
-                        uint32_t* triples);
-Status DecodeTailV3Simd(std::string_view bytes, size_t count,
-                        uint32_t* triples);
-Status DecodeTailV4Scalar(std::string_view bytes, size_t count,
-                          uint32_t* triples);
-Status DecodeTailV4Swar(std::string_view bytes, size_t count,
-                        uint32_t* triples);
+/// The SIMD kernel for v4 tails (block_codec_simd.cc). On non-x86 builds
+/// it is the scalar loop.
 Status DecodeTailV4Simd(std::string_view bytes, size_t count,
                         uint32_t* triples);
 
-/// True when block_codec_simd.cc was built with the x86 kernels (the
-/// machine must additionally report SSSE3+SSE4.1 for them to run).
+/// True when block_codec_simd.cc was built with the x86 kernel (the
+/// machine must additionally report SSSE3+SSE4.1 for it to run).
 bool SimdKernelCompiled();
 
 }  // namespace tix::codec::internal

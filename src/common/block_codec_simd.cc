@@ -1,23 +1,12 @@
 #include "common/block_codec_internal.h"
 
 /// \file
-/// SSSE3/SSE4.1 decode kernels. Two shapes of data-parallel varint
-/// decode live here:
-///
-///  - v3 (LEB128): a masked-vbyte style decoder. One 16-byte load, the
-///    continuation bits become a 12-bit table index, and a pshufb
-///    spreads up to eight 1-2 byte varints into 16-bit lanes at once;
-///    an all-terminal window (16 one-byte varints, the common case for
-///    position deltas) skips the table entirely. Runs of longer varints
-///    (rare in posting deltas) fall back to the SWAR single-value
-///    decoder at exactly the byte where the run starts, which keeps
-///    accept/reject behaviour identical to the scalar kernel.
-///
-///  - v4 (StreamVByte): the control bytes make boundaries explicit, so
-///    one control byte + one pshufb decodes four values with no serial
-///    dependency at all. Three control bytes = twelve values = four
-///    postings, so the decode loop feeds the reconstruction directly
-///    with no staging buffer. One 256-entry shuffle table, built once.
+/// SSSE3/SSE4.1 decode kernel for v4 (StreamVByte) tails. The control
+/// bytes make value boundaries explicit, so one control byte + one
+/// pshufb decodes four values with no serial dependency at all. Three
+/// control bytes = twelve values = four postings, so the decode loop
+/// feeds the reconstruction directly with no staging buffer. One
+/// 256-entry shuffle table, built once.
 ///
 /// Reconstruction (the delta prefix sum) is vectorized too: every group
 /// of four postings goes through one branchless masked-carry chain —
@@ -26,11 +15,16 @@
 /// doc delta is zero), which encodes the doc_delta != 0 reset rule with
 /// no data-dependent branch on doc boundaries.
 ///
+/// This file holds only that bulk loop. Framing checks, the last
+/// postings of each block and every error verdict belong to the shared
+/// scalar loop (internal::DecodeTailV4), which runs the bulk loop first
+/// and then finishes the block.
+///
 /// Over-read safety: every 16-byte load is guarded against the caller's
-/// buffer end, so the kernels never touch bytes past the tail — the
-/// last few values of each block are finished by the exact SWAR/scalar
-/// path instead of a padded load. ASan runs of codec_test and
-/// block_index_test prove this.
+/// buffer end, so the kernel never touches bytes past the tail — the
+/// last few values of each block are left to the scalar loop instead of
+/// a padded load. ASan runs of codec_test and block_index_test prove
+/// this.
 ///
 /// The functions carry `__attribute__((target(...)))` so no special
 /// compile flags are needed; the dispatcher in block_codec.cc only
@@ -40,53 +34,12 @@
 
 #include <immintrin.h>
 
+#include <cstring>
+
 #define TIX_SIMD_TARGET __attribute__((target("ssse3,sse4.1")))
 
 namespace tix::codec::internal {
 namespace {
-
-/// Masked-vbyte table: indexed by the low 12 continuation bits of a
-/// 16-byte window. Each entry shuffles whole 1-2 byte varints into
-/// 16-bit lanes; `produced` == 0 means the window starts with a varint
-/// of 3+ bytes and the caller must decode it with SWAR.
-struct MvEntry {
-  uint8_t shuffle[16];
-  uint8_t consumed;
-  uint8_t produced;
-};
-
-struct MvTables {
-  MvEntry entries[4096];
-  MvTables() {
-    for (int mask = 0; mask < 4096; ++mask) {
-      MvEntry& e = entries[mask];
-      std::memset(e.shuffle, 0x80, sizeof(e.shuffle));
-      int pos = 0;
-      int produced = 0;
-      while (produced < 8 && pos < 12) {
-        if (((mask >> pos) & 1) == 0) {
-          e.shuffle[2 * produced] = static_cast<uint8_t>(pos);
-          pos += 1;
-        } else {
-          // A 2-byte varint needs its terminator inside the known
-          // control bits; 3+ byte varints go to the SWAR fallback.
-          if (pos + 1 >= 12 || ((mask >> (pos + 1)) & 1) != 0) break;
-          e.shuffle[2 * produced] = static_cast<uint8_t>(pos);
-          e.shuffle[2 * produced + 1] = static_cast<uint8_t>(pos + 1);
-          pos += 2;
-        }
-        ++produced;
-      }
-      e.consumed = static_cast<uint8_t>(pos);
-      e.produced = static_cast<uint8_t>(produced);
-    }
-  }
-};
-
-const MvTables& GetMvTables() {
-  static const MvTables tables;
-  return tables;
-}
 
 /// StreamVByte table: one control byte describes four values with 2-bit
 /// length codes {0,1,2,4 bytes}; the shuffle spreads the packed data
@@ -184,124 +137,29 @@ TIX_SIMD_TARGET inline __m128i ReconstructGroup4(__m128i a, __m128i b,
   return ret;
 }
 
-/// Applies the delta prefix sum (with the doc-change reset rule) to
-/// deltas staged by the v3 kernel.
-TIX_SIMD_TARGET void ReconstructTriplesSimd(const uint32_t* deltas,
-                                            size_t count, uint32_t* triples) {
-  __m128i carry = MakeCarry(triples[0], triples[1], triples[2]);
-  size_t i = 1;
-  for (; i + 4 <= count; i += 4) {
-    const uint32_t* d = deltas + 3 * (i - 1);
-    const __m128i a = _mm_loadu_si128(reinterpret_cast<const __m128i*>(d));
-    const __m128i b = _mm_loadu_si128(reinterpret_cast<const __m128i*>(d + 4));
-    const __m128i c = _mm_loadu_si128(reinterpret_cast<const __m128i*>(d + 8));
-    carry = ReconstructGroup4(a, b, c, carry, triples + 3 * i);
-  }
-  uint32_t prev_doc = static_cast<uint32_t>(_mm_extract_epi32(carry, 1));
-  uint32_t prev_node = static_cast<uint32_t>(_mm_extract_epi32(carry, 2));
-  uint32_t prev_pos = static_cast<uint32_t>(_mm_extract_epi32(carry, 3));
-  for (; i < count; ++i) {
-    const uint32_t* q = deltas + 3 * (i - 1);
-    const uint32_t keep = q[0] == 0 ? ~0u : 0u;
-    prev_doc += q[0];
-    prev_node = (prev_node & keep) + q[1];
-    prev_pos = (prev_pos & keep) + q[2];
-    triples[3 * i] = prev_doc;
-    triples[3 * i + 1] = prev_node;
-    triples[3 * i + 2] = prev_pos;
-  }
-}
-
-TIX_SIMD_TARGET Status DecodeTailV3SimdImpl(std::string_view bytes,
-                                            size_t count, uint32_t* triples) {
-  const size_t nvals = count > 0 ? 3 * (count - 1) : 0;
-  const uint8_t* p = reinterpret_cast<const uint8_t*>(bytes.data());
-  const uint8_t* const end = p + bytes.size();
-  alignas(16) uint32_t deltas[kMaxTailValues];
-  size_t got = 0;
-  const MvTables& tables = GetMvTables();
-  while (nvals - got >= 8 && end - p >= 16) {
-    const __m128i in = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-    const int mask = _mm_movemask_epi8(in);
-    if (mask == 0 && nvals - got >= 16) {
-      // Sixteen terminal bytes: sixteen 1-byte varints, no table needed.
-      const __m128i zero = _mm_setzero_si128();
-      const __m128i lo = _mm_unpacklo_epi8(in, zero);
-      const __m128i hi = _mm_unpackhi_epi8(in, zero);
-      uint32_t* outp = deltas + got;
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(outp),
-                       _mm_unpacklo_epi16(lo, zero));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(outp + 4),
-                       _mm_unpackhi_epi16(lo, zero));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(outp + 8),
-                       _mm_unpacklo_epi16(hi, zero));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(outp + 12),
-                       _mm_unpackhi_epi16(hi, zero));
-      got += 16;
-      p += 16;
-      continue;
-    }
-    const MvEntry& e = tables.entries[mask & 0xfff];
-    if (e.produced == 0) {
-      const uint8_t* next = DecodeU32Swar(p, end, &deltas[got]);
-      if (next == nullptr) return Status::Corruption(kErrVarint);
-      p = next;
-      ++got;
-      continue;
-    }
-    const __m128i shuffled = _mm_shuffle_epi8(
-        in, _mm_loadu_si128(reinterpret_cast<const __m128i*>(e.shuffle)));
-    const __m128i low = _mm_and_si128(shuffled, _mm_set1_epi16(0x007f));
-    const __m128i high = _mm_srli_epi16(
-        _mm_and_si128(shuffled, _mm_set1_epi16(0x7f00)), 1);
-    const __m128i vals = _mm_or_si128(low, high);
-    // Both 8-lane stores are safe: the loop requires >= 8 values left.
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(deltas + got),
-                     _mm_cvtepu16_epi32(vals));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(deltas + got + 4),
-                     _mm_cvtepu16_epi32(_mm_srli_si128(vals, 8)));
-    got += e.produced;
-    p += e.consumed;
-  }
-  for (; got < nvals; ++got) {
-    const uint8_t* next = DecodeU32Swar(p, end, &deltas[got]);
-    if (next == nullptr) return Status::Corruption(kErrVarint);
-    p = next;
-  }
-  if (p != end) return Status::Corruption(kErrTrailing);
-  ReconstructTriplesSimd(deltas, count, triples);
-  return Status::OK();
-}
-
-TIX_SIMD_TARGET Status DecodeTailV4SimdImpl(std::string_view bytes,
-                                            size_t count, uint32_t* triples) {
-  const size_t nvals = count > 0 ? 3 * (count - 1) : 0;
-  const size_t ctrl_len = V4CtrlLen(nvals);
-  if (bytes.size() < ctrl_len) return Status::Corruption(kErrVarint);
-  const uint8_t* const ctrl = reinterpret_cast<const uint8_t*>(bytes.data());
-  const uint8_t* data = ctrl + ctrl_len;
-  const uint8_t* const end = ctrl + bytes.size();
-  if (!V4PaddingOk(ctrl, nvals)) return Status::Corruption(kErrVarint);
+/// The V4BulkDecoder of the SIMD kernel: decodes whole groups of four
+/// postings while a full 16-byte load stays inside the tail.
+TIX_SIMD_TARGET size_t DecodeGroupsV4(const uint8_t* ctrl,
+                                      const uint8_t** data_inout,
+                                      const uint8_t* end, size_t count,
+                                      uint32_t* triples) {
   const V4Tables& tables = GetV4Tables();
+  const uint8_t* data = *data_inout;
   __m128i carry = MakeCarry(triples[0], triples[1], triples[2]);
   size_t i = 1;
-  size_t vi = 0;
-  // Three control bytes = twelve values = four postings per iteration,
-  // decoded and reconstructed in registers with no staging buffer. The
-  // loop starts at vi = 0 and advances by 12, so vi >> 2 stays
-  // whole-byte aligned in the control stream.
-  while (count - i >= 4) {
+  // The loop starts at control byte 0 and consumes three per group, so
+  // each group's codes are whole control bytes.
+  for (const uint8_t* c = ctrl; count - i >= 4; c += 3, i += 4) {
     // All three lengths come straight from the control bytes, so the
     // three data loads issue in parallel instead of each waiting on the
     // previous one's consumed-bytes add.
-    const V4Entry& e0 = tables.entries[ctrl[vi >> 2]];
-    const V4Entry& e1 = tables.entries[ctrl[(vi >> 2) + 1]];
-    const V4Entry& e2 = tables.entries[ctrl[(vi >> 2) + 2]];
+    const V4Entry& e0 = tables.entries[c[0]];
+    const V4Entry& e1 = tables.entries[c[1]];
+    const V4Entry& e2 = tables.entries[c[2]];
     const uint32_t t0 = e0.total;
     const uint32_t t01 = t0 + e1.total;
     // The third 16-byte load starts at data + t01 and t0 <= t01, so this
-    // one bound guards all three loads exactly; the last postings of a
-    // block finish on the scalar path below.
+    // one bound guards all three loads exactly.
     if (static_cast<size_t>(end - data) < t01 + 16) break;
     const __m128i a = _mm_shuffle_epi8(
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(data)),
@@ -309,59 +167,21 @@ TIX_SIMD_TARGET Status DecodeTailV4SimdImpl(std::string_view bytes,
     const __m128i b = _mm_shuffle_epi8(
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + t0)),
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(e1.shuffle)));
-    const __m128i c = _mm_shuffle_epi8(
+    const __m128i d = _mm_shuffle_epi8(
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + t01)),
         _mm_loadu_si128(reinterpret_cast<const __m128i*>(e2.shuffle)));
     data += t01 + e2.total;
-    carry = ReconstructGroup4(a, b, c, carry, triples + 3 * i);
-    i += 4;
-    vi += 12;
+    carry = ReconstructGroup4(a, b, d, carry, triples + 3 * i);
   }
-  // Exact scalar finish for the last postings / short data runway.
-  uint32_t prev_doc = static_cast<uint32_t>(_mm_extract_epi32(carry, 1));
-  uint32_t prev_node = static_cast<uint32_t>(_mm_extract_epi32(carry, 2));
-  uint32_t prev_pos = static_cast<uint32_t>(_mm_extract_epi32(carry, 3));
-  for (; i < count; ++i) {
-    uint32_t d[3];
-    for (int k = 0; k < 3; ++k, ++vi) {
-      const uint32_t code = (ctrl[vi >> 2] >> ((vi & 3) * 2)) & 3u;
-      const uint32_t len = kV4Len[code];
-      if (static_cast<size_t>(end - data) < len) {
-        return Status::Corruption(kErrVarint);
-      }
-      uint32_t v = 0;
-      for (uint32_t bb = 0; bb < len; ++bb) {
-        v |= static_cast<uint32_t>(data[bb]) << (8 * bb);
-      }
-      d[k] = v;
-      data += len;
-    }
-    const uint32_t keep = d[0] == 0 ? ~0u : 0u;
-    prev_doc += d[0];
-    prev_node = (prev_node & keep) + d[1];
-    prev_pos = (prev_pos & keep) + d[2];
-    triples[3 * i] = prev_doc;
-    triples[3 * i + 1] = prev_node;
-    triples[3 * i + 2] = prev_pos;
-  }
-  if (data != end) return Status::Corruption(kErrTrailing);
-  return Status::OK();
+  *data_inout = data;
+  return i;
 }
 
 }  // namespace
 
-Status DecodeTailV3Simd(std::string_view bytes, size_t count,
-                        uint32_t* triples) {
-  if (count > kSimdMaxCount) return DecodeTailV3Swar(bytes, count, triples);
-  return DecodeTailV3SimdImpl(bytes, count, triples);
-}
-
 Status DecodeTailV4Simd(std::string_view bytes, size_t count,
                         uint32_t* triples) {
-  // No stack staging in the v4 kernel, but SWAR keeps the two formats'
-  // large-count behaviour symmetric.
-  if (count > kSimdMaxCount) return DecodeTailV4Swar(bytes, count, triples);
-  return DecodeTailV4SimdImpl(bytes, count, triples);
+  return DecodeTailV4(bytes, count, triples, &DecodeGroupsV4);
 }
 
 bool SimdKernelCompiled() { return true; }
@@ -372,14 +192,9 @@ bool SimdKernelCompiled() { return true; }
 
 namespace tix::codec::internal {
 
-Status DecodeTailV3Simd(std::string_view bytes, size_t count,
-                        uint32_t* triples) {
-  return DecodeTailV3Swar(bytes, count, triples);
-}
-
 Status DecodeTailV4Simd(std::string_view bytes, size_t count,
                         uint32_t* triples) {
-  return DecodeTailV4Swar(bytes, count, triples);
+  return DecodeTailV4(bytes, count, triples, nullptr);
 }
 
 bool SimdKernelCompiled() { return false; }

@@ -4,9 +4,9 @@
 /// \file
 /// Runtime CPU feature probe. The decode-kernel dispatcher in
 /// common/block_codec.cc consults this once to decide whether the
-/// SSSE3/SSE4.1 shuffle-table kernels are safe to run on this machine.
+/// SSSE3/SSE4.1 shuffle-table kernel is safe to run on this machine.
 /// On non-x86 builds every SIMD bit reports false and the dispatcher
-/// falls back to the portable SWAR kernel.
+/// falls back to the portable scalar kernel.
 
 namespace tix::cpu {
 

@@ -151,8 +151,6 @@ const char* CounterName(Counter counter) {
       return "result_cache_gen_evictions";
     case Counter::kTermJoinOccurrences:
       return "term_join_occurrences";
-    case Counter::kIndexBlocksDecodedSimd:
-      return "index_blocks_decoded_simd";
   }
   return "unknown";
 }

@@ -63,13 +63,9 @@ enum class Counter : int {
   /// gossip settings; exported in STATS so external processes can read
   /// it without EXPLAIN.
   kTermJoinOccurrences = 14,
-  /// Of kIndexBlocksDecoded, the blocks served by the SIMD decode
-  /// kernel (EXPLAIN shows which kernel answered a query; zero means
-  /// the scalar or SWAR kernel was active).
-  kIndexBlocksDecodedSimd = 15,
 };
 
-inline constexpr int kNumCounters = 16;
+inline constexpr int kNumCounters = 15;
 
 /// Stable snake_case name used in EXPLAIN output and the JSON schema.
 const char* CounterName(Counter counter);

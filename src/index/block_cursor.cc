@@ -2,7 +2,6 @@
 
 #include <memory>
 
-#include "common/block_codec.h"
 #include "common/logging.h"
 #include "common/obs.h"
 
@@ -24,9 +23,6 @@ void BlockCursor::Load(size_t i) {
     // or API misuse, not bad input.
     TIX_CHECK(status.ok()) << status.ToString();
     obs::Count(obs::Counter::kIndexBlocksDecoded);
-    if (codec::ActiveDecodeKernel() == codec::DecodeKernel::kSimd) {
-      obs::Count(obs::Counter::kIndexBlocksDecodedSimd);
-    }
     handle = cache.Insert(list_->cache_id, block, std::move(fresh));
   } else {
     obs::Count(obs::Counter::kIndexBlockCacheHits);

@@ -45,10 +45,6 @@ uint32_t* AsTriples(Posting* postings) {
   return reinterpret_cast<uint32_t*>(postings);
 }
 
-int VersionOf(codec::TailFormat format) {
-  return format == codec::TailFormat::kV3 ? 3 : 4;
-}
-
 }  // namespace
 
 void PostingList::BuildSkips() {
@@ -91,9 +87,9 @@ void PostingList::BuildSkips() {
   }
 }
 
-void PostingList::Compress(codec::TailFormat format) {
+void PostingList::Compress() {
   if (is_compressed()) return;
-  tail_format = format;
+  tail_format = codec::TailFormat::kV4;
   if (postings.empty()) {
     num_encoded = 0;
     blocks.clear();
@@ -107,8 +103,8 @@ void PostingList::Compress(codec::TailFormat format) {
                                           postings.size() - begin);
     skips[b].first_node = postings[begin].node_id;
     skips[b].byte_offset = static_cast<uint32_t>(blocks.size());
-    codec::EncodeBlockTail(format, AsTriples(postings.data() + begin), count,
-                           &blocks);
+    codec::EncodeBlockTail(tail_format, AsTriples(postings.data() + begin),
+                           count, &blocks);
     skips[b].byte_length =
         static_cast<uint32_t>(blocks.size()) - skips[b].byte_offset;
   }
@@ -451,24 +447,21 @@ Status PostingList::DebugCheckSorted() const {
 }
 
 Result<InvertedIndex> InvertedIndex::Build(storage::Database* db,
-                                           bool compress,
-                                           codec::TailFormat tail_format) {
+                                           bool compress) {
   return BuildForDocRange(db, 0,
                           static_cast<storage::DocId>(db->documents().size()),
-                          compress, tail_format);
+                          compress);
 }
 
 Result<InvertedIndex> InvertedIndex::BuildForDocRange(
     storage::Database* db, storage::DocId doc_begin, storage::DocId doc_end,
-    bool compress, codec::TailFormat tail_format) {
+    bool compress) {
   const auto& documents = db->documents();
   if (doc_begin > doc_end || doc_end > documents.size()) {
     return Status::InvalidArgument("BuildForDocRange: bad doc range");
   }
   InvertedIndex out;
   out.tokenizer_options_ = db->tokenizer().options();
-  out.tail_format_ = tail_format;
-  out.format_version_ = VersionOf(tail_format);
   out.stats_.num_documents = doc_end - doc_begin;
   if (doc_begin == doc_end) return out;
   const text::Tokenizer& tokenizer = db->tokenizer();
@@ -515,7 +508,7 @@ Result<InvertedIndex> InvertedIndex::BuildForDocRange(
   for (PostingList& list : out.lists_) {
     TIX_RETURN_IF_ERROR(list.DebugCheckSorted());
     if (compress) {
-      list.Compress(tail_format);
+      list.Compress();
     } else {
       list.BuildSkips();
     }
@@ -527,12 +520,9 @@ Result<InvertedIndex> InvertedIndex::BuildForDocRange(
 Result<InvertedIndex> InvertedIndex::FromPostings(
     text::TokenizerOptions tokenizer_options,
     std::vector<std::pair<std::string, PostingList>> lists,
-    uint64_t num_documents, uint64_t num_text_nodes,
-    codec::TailFormat tail_format) {
+    uint64_t num_documents, uint64_t num_text_nodes) {
   InvertedIndex out;
   out.tokenizer_options_ = tokenizer_options;
-  out.tail_format_ = tail_format;
-  out.format_version_ = VersionOf(tail_format);
   out.stats_.num_documents = num_documents;
   out.stats_.num_text_nodes = num_text_nodes;
   for (auto& [term, list] : lists) {
@@ -561,7 +551,7 @@ Result<InvertedIndex> InvertedIndex::FromPostings(
       ++out.stats_.num_postings;
     }
     TIX_RETURN_IF_ERROR(dst.DebugCheckSorted());
-    dst.Compress(tail_format);
+    dst.Compress();
   }
   out.stats_.num_terms = out.lists_.size();
   return out;

@@ -148,10 +148,10 @@ struct PostingList {
   /// Process-unique identity in the DecodedBlockCache (0 = never
   /// cached). Minted by Compress()/FinishCompressed(), never reused.
   uint64_t cache_id = 0;
-  /// Wire encoding of the block tails (set by Compress() or the loader;
-  /// meaningless on decoded lists). DecodeBlock dispatches on it, so a
-  /// process can serve v3 and v4 lists side by side (e.g. a segmented
-  /// index mixing old and new segment files).
+  /// Wire encoding of the block tails: kV4 for lists compressed in
+  /// memory, whatever the loader found otherwise (meaningless on decoded
+  /// lists). DecodeBlock dispatches on it, so a process can serve v3 and
+  /// v4 lists side by side (e.g. a legacy v3 segment beside new ones).
   codec::TailFormat tail_format = codec::TailFormat::kV4;
 
   /// Block-level skip entries: one per kSkipInterval postings. Required
@@ -197,9 +197,9 @@ struct PostingList {
   void BuildSkips();
 
   /// Converts a decoded list to the block-compressed representation:
-  /// derives skip metadata, encodes the blocks in `format`, then frees
+  /// derives skip metadata, encodes the blocks as v4 tails, then frees
   /// `postings`. The list must satisfy DebugCheckSorted().
-  void Compress(codec::TailFormat format = codec::TailFormat::kV4);
+  void Compress();
 
   /// Finishes a list whose compressed fields (`blocks`, `num_encoded`,
   /// per-block SkipEntry head/byte_offset, frequencies) were populated
@@ -378,12 +378,9 @@ class InvertedIndex {
   /// Builds the index with one scan of the database's text nodes, using
   /// the database's tokenizer so index terms match load-time numbering.
   /// Lists are block-compressed by default; `compress = false` keeps the
-  /// decoded vectors (the equivalence baseline in tests). `tail_format`
-  /// selects the block-tail encoding of compressed lists (and the
-  /// default SaveToFile format).
-  static Result<InvertedIndex> Build(
-      storage::Database* db, bool compress = true,
-      codec::TailFormat tail_format = codec::TailFormat::kV4);
+  /// decoded vectors (the equivalence baseline in tests).
+  static Result<InvertedIndex> Build(storage::Database* db,
+                                     bool compress = true);
 
   /// Builds an index covering only documents [doc_begin, doc_end).
   /// Documents are appended to the node store in doc-id order, so the
@@ -394,20 +391,17 @@ class InvertedIndex {
   /// ones with no indexable text).
   static Result<InvertedIndex> BuildForDocRange(
       storage::Database* db, storage::DocId doc_begin, storage::DocId doc_end,
-      bool compress = true,
-      codec::TailFormat tail_format = codec::TailFormat::kV4);
+      bool compress = true);
 
   /// Assembles an index from externally merged posting lists (segment
   /// compaction). Each entry is (term, decoded PostingList); postings
   /// must be strictly ascending by (doc, word_pos). Doc/node frequencies
-  /// are recomputed here, every list is validated and block-compressed
-  /// in `tail_format`, and `num_documents` / `num_text_nodes` become the
-  /// index statistics.
+  /// are recomputed here, every list is validated and block-compressed,
+  /// and `num_documents` / `num_text_nodes` become the index statistics.
   static Result<InvertedIndex> FromPostings(
       text::TokenizerOptions tokenizer_options,
       std::vector<std::pair<std::string, PostingList>> lists,
-      uint64_t num_documents, uint64_t num_text_nodes,
-      codec::TailFormat tail_format = codec::TailFormat::kV4);
+      uint64_t num_documents, uint64_t num_text_nodes);
 
   /// Postings for a term (already normalized by the caller or not — the
   /// lookup normalizes with the same tokenizer options used at build).
@@ -442,8 +436,8 @@ class InvertedIndex {
   /// every list (capacity-based for vectors).
   IndexResidency MemoryUsage() const;
 
-  /// On-disk format version this index was loaded from (or the version
-  /// matching the build tail format for a freshly built one).
+  /// On-disk format version this index was loaded from
+  /// (kCurrentFormatVersion for a freshly built one).
   int format_version() const { return format_version_; }
 
   /// Block-tail encoding of this index's compressed lists (the format

@@ -7,6 +7,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "common/block_codec.h"
 #include "common/logging.h"
 #include "storage/mapped_file.h"
 
@@ -248,8 +249,7 @@ Status SegmentedIndex::SealLocked(storage::Database* db) {
   // between leaves an orphan file and a consistent old manifest.
   TIX_ASSIGN_OR_RETURN(
       InvertedIndex index,
-      InvertedIndex::BuildForDocRange(db, buffer_begin_, buffer_end_, true,
-                                      options_.tail_format));
+      InvertedIndex::BuildForDocRange(db, buffer_begin_, buffer_end_));
   SegmentInfo info;
   info.id = manifest_.next_segment_id;
   info.file = SegmentFileName(info.id);
@@ -386,7 +386,7 @@ Status SegmentedIndex::Compact() {
         InvertedIndex index,
         InvertedIndex::FromPostings(
             inputs.front()->index().tokenizer_options(), std::move(merged),
-            merged_docs, text_nodes.size(), options_.tail_format));
+            merged_docs, text_nodes.size()));
     SegmentInfo info;
     {
       std::lock_guard<std::mutex> lock(mu_);

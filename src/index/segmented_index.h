@@ -9,7 +9,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/block_codec.h"
 #include "common/macros.h"
 #include "common/result.h"
 #include "common/thread_pool.h"
@@ -90,11 +89,6 @@ struct SegmentedIndexOptions {
   /// Background compaction triggers when the sealed-segment count
   /// reaches this.
   size_t compact_min_segments = 4;
-  /// Block-tail encoding for newly written segments (seal and compact).
-  /// Existing segment files keep whatever format they were written in —
-  /// a mixed-format manifest is fully supported, so flipping this takes
-  /// effect incrementally as segments are rewritten.
-  codec::TailFormat tail_format = codec::TailFormat::kV4;
   /// Per-segment load options (tests use decode_postings).
   IndexLoadOptions load;
 };

@@ -767,7 +767,7 @@ std::string TixServer::StatsJson() const {
   }
   // The decode kernel is a string, so it can't go through the numeric
   // AppendJsonField helper; the name comes from a fixed internal set
-  // ("scalar"/"swar"/"simd"), no escaping needed.
+  // ("scalar"/"simd"), no escaping needed.
   out += ",\"decode_kernel\":\"";
   out += codec::DecodeKernelName(codec::ActiveDecodeKernel());
   out += "\"";

@@ -12,7 +12,7 @@
 
 /// \file
 /// Differential fuzzing of the posting-block decode kernels. The scalar
-/// loop is the reference; the SWAR and SIMD kernels must agree with it
+/// loop is the reference; the SIMD kernel must agree with it
 /// bit-for-bit on decoded triples AND on Status outcomes (same
 /// ok/corruption verdict, same message) for every input — seeded random
 /// blocks, every-prefix truncations, trailing bytes, overlong varints,
@@ -30,7 +30,7 @@ constexpr TailFormat kFormats[] = {TailFormat::kV3, TailFormat::kV4};
 std::vector<DecodeKernel> AvailableKernels() {
   std::vector<DecodeKernel> kernels;
   for (const DecodeKernel kernel :
-       {DecodeKernel::kScalar, DecodeKernel::kSwar, DecodeKernel::kSimd}) {
+       {DecodeKernel::kScalar, DecodeKernel::kSimd}) {
     if (DecodeKernelAvailable(kernel)) kernels.push_back(kernel);
   }
   return kernels;
@@ -116,10 +116,8 @@ std::vector<uint32_t> RandomTriples(std::mt19937* rng, size_t count,
 
 TEST(DecodeKernelTest, PortableKernelsAreAlwaysAvailable) {
   EXPECT_TRUE(DecodeKernelAvailable(DecodeKernel::kScalar));
-  EXPECT_TRUE(DecodeKernelAvailable(DecodeKernel::kSwar));
   EXPECT_TRUE(DecodeKernelAvailable(ActiveDecodeKernel()));
   EXPECT_STREQ(DecodeKernelName(DecodeKernel::kScalar), "scalar");
-  EXPECT_STREQ(DecodeKernelName(DecodeKernel::kSwar), "swar");
   EXPECT_STREQ(DecodeKernelName(DecodeKernel::kSimd), "simd");
 }
 
@@ -146,7 +144,9 @@ TEST(DecodeKernelTest, SetActiveKernelRoutesDecodeBlockTail) {
 
 TEST(KernelDifferentialTest, SeededRandomBlocksAgreeAcrossKernels) {
   std::mt19937 rng(20260808);
-  std::uniform_int_distribution<size_t> count_dist(1, 128);
+  // Past kSkipInterval (128): the index never writes longer blocks, but
+  // the codec takes any count and the SIMD kernel decodes them itself.
+  std::uniform_int_distribution<size_t> count_dist(1, 512);
   struct Config {
     int num;
     int denom;

@@ -19,9 +19,9 @@
 
 /// \file
 /// The mmap-backed open path (docs/INDEX.md "Mapping lifecycle"):
-///  - a v3 open maps the file and performs zero posting-byte reads,
-///    while the copy fallback reads the file exactly once (never the
-///    old double-buffered 2x);
+///  - a v3 or v4 open maps the file and performs zero posting-byte
+///    reads, while the copy fallback reads the file exactly once (never
+///    the old double-buffered 2x);
 ///  - trust-mode opens (verify_on_open = false) answer every seek and
 ///    every query byte-identically to scrubbed opens, serial and
 ///    parallel, with and without top-K pushdown;
@@ -92,36 +92,52 @@ struct IoSnapshot {
 
 // -------------------------------------------------------- open-cost I/O
 
-// The open-cost regression the tentpole exists for: a v3 open must not
+/// Saves `built` as format `version`: 4 through the default
+/// SaveToFile(path), 3 through the explicit legacy target. Returns the
+/// path, named after the version the file holds.
+std::string SaveAsVersion(const InvertedIndex& built, const std::string& dir,
+                          int version) {
+  const std::string path = dir + "/v" + std::to_string(version) + ".tix";
+  ExpectOk(version == 4 ? built.SaveToFile(path)
+                        : built.SaveToFile(path, version));
+  return path;
+}
+
+// The open-cost regression: a block-format (v3 or v4) open must not
 // read the posting bytes at all — the file is mapped (O(1) syscalls per
 // file), not copied (O(bytes) reads).
-TEST(MmapOpenTest, V3OpenMapsInsteadOfReading) {
+TEST(MmapOpenTest, BlockFormatOpenMapsInsteadOfReading) {
   auto corpus = MakeCorpusDb(/*articles=*/12, /*seed=*/41);
   InvertedIndex built = Unwrap(InvertedIndex::Build(corpus->db.get()));
-  const std::string path = corpus->dir.path() + "/v3.tix";
-  ExpectOk(built.SaveToFile(path));
-  const uint64_t file_size = std::filesystem::file_size(path);
+  for (const int version : {4, 3}) {
+    SCOPED_TRACE("v" + std::to_string(version));
+    const std::string path = SaveAsVersion(built, corpus->dir.path(), version);
+    const uint64_t file_size = std::filesystem::file_size(path);
 
-  const IoSnapshot before = IoSnapshot::Take();
-  InvertedIndex mapped = Unwrap(InvertedIndex::LoadFromFile(path));
-  const IoSnapshot after = IoSnapshot::Take();
+    const IoSnapshot before = IoSnapshot::Take();
+    InvertedIndex mapped = Unwrap(InvertedIndex::LoadFromFile(path));
+    const IoSnapshot after = IoSnapshot::Take();
 
-  EXPECT_EQ(after.bytes_read - before.bytes_read, 0u)
-      << "v3 open must mmap, not read";
-  EXPECT_EQ(after.files_mapped - before.files_mapped, 1u);
-  EXPECT_EQ(after.bytes_mapped - before.bytes_mapped, file_size);
-  ASSERT_NE(mapped.mapping(), nullptr);
-  for (text::TermId id = 0; id < mapped.stats().num_terms; ++id) {
-    const PostingList* list = mapped.LookupId(id);
-    if (list->empty()) continue;
-    EXPECT_TRUE(list->is_mapped()) << "term " << id;
-    EXPECT_TRUE(list->blocks.empty()) << "term " << id;
+    EXPECT_EQ(mapped.format_version(), version);
+    EXPECT_EQ(after.bytes_read - before.bytes_read, 0u)
+        << "block-format open must mmap, not read";
+    EXPECT_EQ(after.files_mapped - before.files_mapped, 1u);
+    EXPECT_EQ(after.bytes_mapped - before.bytes_mapped, file_size);
+    ASSERT_NE(mapped.mapping(), nullptr);
+    for (text::TermId id = 0; id < mapped.stats().num_terms; ++id) {
+      const PostingList* list = mapped.LookupId(id);
+      if (list->empty()) continue;
+      EXPECT_TRUE(list->is_mapped()) << "term " << id;
+      EXPECT_TRUE(list->blocks.empty()) << "term " << id;
+      ASSERT_EQ(list->DecodeAll(), built.LookupId(id)->DecodeAll())
+          << "term " << id;
+    }
+    const IndexResidency residency = mapped.MemoryUsage();
+    EXPECT_GT(residency.mapped_lists, 0u);
+    EXPECT_GT(residency.mapped_bytes, 0u);
+    EXPECT_EQ(residency.postings_bytes, 0u)
+        << "mapped lists must not be charged as resident heap";
   }
-  const IndexResidency residency = mapped.MemoryUsage();
-  EXPECT_GT(residency.mapped_lists, 0u);
-  EXPECT_GT(residency.mapped_bytes, 0u);
-  EXPECT_EQ(residency.postings_bytes, 0u)
-      << "mapped lists must not be charged as resident heap";
 }
 
 // The double-buffer bugfix: the copy fallback performs one exactly
@@ -130,28 +146,32 @@ TEST(MmapOpenTest, V3OpenMapsInsteadOfReading) {
 TEST(MmapOpenTest, CopyFallbackReadsExactlyOnce) {
   auto corpus = MakeCorpusDb(/*articles=*/12, /*seed=*/41);
   InvertedIndex built = Unwrap(InvertedIndex::Build(corpus->db.get()));
-  const std::string path = corpus->dir.path() + "/v3.tix";
-  ExpectOk(built.SaveToFile(path));
-  const uint64_t file_size = std::filesystem::file_size(path);
+  for (const int version : {4, 3}) {
+    SCOPED_TRACE("v" + std::to_string(version));
+    const std::string path = SaveAsVersion(built, corpus->dir.path(), version);
+    const uint64_t file_size = std::filesystem::file_size(path);
 
-  IndexLoadOptions copy_load;
-  copy_load.prefer_mmap = false;
-  const IoSnapshot before = IoSnapshot::Take();
-  InvertedIndex copied = Unwrap(InvertedIndex::LoadFromFile(path, copy_load));
-  const IoSnapshot after = IoSnapshot::Take();
+    IndexLoadOptions copy_load;
+    copy_load.prefer_mmap = false;
+    const IoSnapshot before = IoSnapshot::Take();
+    InvertedIndex copied =
+        Unwrap(InvertedIndex::LoadFromFile(path, copy_load));
+    const IoSnapshot after = IoSnapshot::Take();
 
-  EXPECT_EQ(after.bytes_read - before.bytes_read, file_size)
-      << "copy open must read the file exactly once";
-  EXPECT_EQ(after.files_mapped - before.files_mapped, 0u);
-  EXPECT_EQ(copied.mapping(), nullptr);
+    EXPECT_EQ(copied.format_version(), version);
+    EXPECT_EQ(after.bytes_read - before.bytes_read, file_size)
+        << "copy open must read the file exactly once";
+    EXPECT_EQ(after.files_mapped - before.files_mapped, 0u);
+    EXPECT_EQ(copied.mapping(), nullptr);
 
-  InvertedIndex mapped = Unwrap(InvertedIndex::LoadFromFile(path));
-  ASSERT_EQ(copied.stats().num_terms, mapped.stats().num_terms);
-  for (text::TermId id = 0; id < copied.stats().num_terms; ++id) {
-    const PostingList* own = copied.LookupId(id);
-    const PostingList* map = mapped.LookupId(id);
-    EXPECT_FALSE(own->is_mapped());
-    ASSERT_EQ(own->DecodeAll(), map->DecodeAll()) << "term " << id;
+    InvertedIndex mapped = Unwrap(InvertedIndex::LoadFromFile(path));
+    ASSERT_EQ(copied.stats().num_terms, mapped.stats().num_terms);
+    for (text::TermId id = 0; id < copied.stats().num_terms; ++id) {
+      const PostingList* own = copied.LookupId(id);
+      const PostingList* map = mapped.LookupId(id);
+      EXPECT_FALSE(own->is_mapped());
+      ASSERT_EQ(own->DecodeAll(), map->DecodeAll()) << "term " << id;
+    }
   }
 }
 
@@ -165,7 +185,7 @@ TEST(MmapOpenTest, TrustAndVerifyOpensAnswerIdentically) {
   for (uint64_t seed : {7u, 23u, 99u}) {
     auto corpus = MakeCorpusDb(/*articles=*/10, /*seed=*/seed);
     InvertedIndex built = Unwrap(InvertedIndex::Build(corpus->db.get()));
-    const std::string path = corpus->dir.path() + "/v3.tix";
+    const std::string path = corpus->dir.path() + "/v4.tix";
     ExpectOk(built.SaveToFile(path));
 
     InvertedIndex verified = Unwrap(InvertedIndex::LoadFromFile(path));
@@ -244,7 +264,7 @@ TEST(MmapOpenTest, TrustAndVerifyOpensAnswerIdentically) {
 TEST(MmapOpenTest, SaveRoundTripsFromMappedIndex) {
   auto corpus = MakeCorpusDb(/*articles=*/8, /*seed=*/3);
   InvertedIndex built = Unwrap(InvertedIndex::Build(corpus->db.get()));
-  const std::string path = corpus->dir.path() + "/v3.tix";
+  const std::string path = corpus->dir.path() + "/v4.tix";
   ExpectOk(built.SaveToFile(path));
 
   IndexLoadOptions trust_load;
@@ -272,7 +292,7 @@ TEST(MmapOpenTest, SaveRoundTripsFromMappedIndex) {
 TEST(MmapOpenTest, TruncatedFilesFailClosedInTrustMode) {
   auto corpus = MakeCorpusDb(/*articles=*/6, /*seed=*/13);
   InvertedIndex built = Unwrap(InvertedIndex::Build(corpus->db.get()));
-  const std::string path = corpus->dir.path() + "/v3.tix";
+  const std::string path = corpus->dir.path() + "/v4.tix";
   ExpectOk(built.SaveToFile(path));
   std::string blob;
   {
@@ -318,7 +338,7 @@ TEST(BlockCacheSentinelTest, IdZeroIsNeverMintedStoredNorServed) {
 TEST(BlockCacheSentinelTest, DecodedListsCarryTheSentinelAfterLoad) {
   auto corpus = MakeCorpusDb(/*articles=*/6, /*seed=*/29);
   InvertedIndex built = Unwrap(InvertedIndex::Build(corpus->db.get()));
-  const std::string path = corpus->dir.path() + "/v3.tix";
+  const std::string path = corpus->dir.path() + "/v4.tix";
   ExpectOk(built.SaveToFile(path));
 
   IndexLoadOptions decode;

@@ -4,11 +4,12 @@
 // to a bulk-built index over the same live documents, across scorers,
 // phrases, top-K depths and thread counts), snapshot pinning under
 // compaction, crash recovery of unsealed documents, adoption of a
-// legacy monolithic index.tix, the generation-stamped result cache,
-// the live-mode server (INGEST/DELETE/COMPACT frames), and the
-// SIGPIPE-free write path. The concurrency tests double as the TSan
-// cases for scripts/check_sanitizers.sh: queries pin snapshots while
-// ingestion and compaction publish new generations.
+// legacy monolithic index.tix, a legacy v3 segment served beside v4
+// seals, the generation-stamped result cache, the live-mode server
+// (INGEST/DELETE/COMPACT frames), and the SIGPIPE-free write path. The
+// concurrency tests double as the TSan cases for
+// scripts/check_sanitizers.sh: queries pin snapshots while ingestion
+// and compaction publish new generations.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -484,6 +485,77 @@ TEST(SegmentedIndexTest, AdoptsMonolithicIndexInPlace) {
   ExpectOk(segmented->Seal(db.get()));
   ExpectOk(segmented->Compact());
   ExpectEquivalence(db.get(), segmented.get(), docs, dir.path() + "/base1");
+}
+
+// Seals and compactions only write v4, so a v3 segment reaches a live
+// index only as a file an older release wrote. Rewrite one sealed
+// segment in the legacy format and require it to serve beside a new v4
+// seal, in trust and verify opens, until compaction rewrites it.
+TEST(SegmentedIndexTest, LegacyV3SegmentServesBesideV4Seals) {
+  for (const bool verify : {false, true}) {
+    SCOPED_TRACE(verify ? "verify open" : "trust open");
+    TempDir dir;
+    index::SegmentedIndexOptions options;
+    options.seal_doc_count = 3;
+    options.load.verify_on_open = verify;
+    std::mt19937_64 rng(31);
+    std::vector<LiveDoc> docs;
+    auto ingest = [&](storage::Database* db,
+                      index::SegmentedIndex* segmented) {
+      LiveDoc doc{"d" + std::to_string(docs.size()) + ".xml",
+                  MakeArticleXml(&rng)};
+      auto parsed = Unwrap(xml::ParseXml(doc.xml, doc.name));
+      ExpectOk(segmented->Ingest(db, Unwrap(db->AddDocument(parsed))));
+      docs.push_back(std::move(doc));
+    };
+    {
+      auto db = MakeTestDatabase(dir.path(), 256);
+      auto segmented =
+          Unwrap(index::SegmentedIndex::Open(dir.path(), options));
+      for (int i = 0; i < 3; ++i) ingest(db.get(), segmented.get());
+      ExpectOk(db->Save());
+      ASSERT_EQ(segmented->Stats().segments_v4, 1u);
+    }
+    const index::Manifest manifest = Unwrap(index::LoadManifest(dir.path()));
+    ASSERT_EQ(manifest.segments.size(), 1u);
+    const std::string segment_path =
+        dir.path() + "/" + manifest.segments[0].file;
+    ExpectOk(Unwrap(index::InvertedIndex::LoadFromFile(segment_path))
+                 .SaveToFile(segment_path, 3));
+
+    auto db = Unwrap(storage::Database::Open(dir.path()));
+    auto segmented = Unwrap(index::SegmentedIndex::Open(dir.path(), options));
+    ExpectOk(segmented->Recover(db.get()));
+    EXPECT_EQ(segmented->Stats().segments_v3, 1u);
+    // Posting-level check first: the query spot checks below can miss a
+    // single shifted word position.
+    {
+      const auto snapshot = segmented->Acquire();
+      const index::InvertedIndex& legacy = snapshot->segment(0).index();
+      ASSERT_EQ(legacy.format_version(), 3);
+      const index::InvertedIndex fresh =
+          Unwrap(index::InvertedIndex::BuildForDocRange(db.get(), 0, 3));
+      ASSERT_EQ(legacy.stats().num_terms, fresh.stats().num_terms);
+      for (text::TermId id = 0; id < fresh.stats().num_terms; ++id) {
+        const std::string& term = fresh.dictionary().TermOf(id);
+        const index::PostingList* list = legacy.Lookup(term);
+        ASSERT_NE(list, nullptr) << term;
+        EXPECT_EQ(list->DecodeAll(), fresh.LookupId(id)->DecodeAll()) << term;
+      }
+    }
+    for (int i = 0; i < 3; ++i) ingest(db.get(), segmented.get());
+    index::SegmentedIndexStats stats = segmented->Stats();
+    EXPECT_EQ(stats.segments_v3, 1u);
+    EXPECT_EQ(stats.segments_v4, 1u);
+    EXPECT_EQ(stats.buffered_docs, 0u);
+    ExpectEquivalence(db.get(), segmented.get(), docs, dir.path() + "/base0");
+
+    ExpectOk(segmented->Compact());
+    stats = segmented->Stats();
+    EXPECT_EQ(stats.segments_v3, 0u);
+    EXPECT_EQ(stats.segments_v4, 1u);
+    ExpectEquivalence(db.get(), segmented.get(), docs, dir.path() + "/base1");
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -33,12 +33,6 @@
 // Results are identical; open is O(lists) instead of O(bytes). The
 // `verify` command ignores the flag and always scrubs.
 //
-// --index-format={v3,v4} picks the posting-block tail encoding written
-// by `index` (the monolithic index.tix) and by `ingest`/`compact` (new
-// segment files). Default v4 (StreamVByte-style split control/data
-// bytes, SIMD-decodable); v3 writes the LEB128 varint format older
-// binaries read. Both load identically — see docs/INDEX.md.
-//
 // --explain appends the EXPLAIN ANALYZE tree (per-operator wall time,
 // cardinalities and storage counters) after the results; --stats-json
 // prints only the plan tree as JSON (schema: docs/OBSERVABILITY.md).
@@ -97,8 +91,6 @@ struct Args {
   /// Skip the O(bytes) validation scrub at index open (tixd-style trust
   /// mode). `verify` ignores this — its whole job is the scrub.
   bool trust_index = false;
-  /// Block-tail encoding for newly written indexes/segments.
-  tix::codec::TailFormat tail_format = tix::codec::TailFormat::kV4;
 };
 
 Args ParseArgs(int argc, char** argv) {
@@ -130,17 +122,6 @@ Args ParseArgs(int argc, char** argv) {
       args.no_pushdown = true;
     } else if (arg == "--trust-index") {
       args.trust_index = true;
-    } else if (MatchFlag(arg, "index-format", &value)) {
-      if (value == "v3") {
-        args.tail_format = tix::codec::TailFormat::kV3;
-      } else if (value == "v4") {
-        args.tail_format = tix::codec::TailFormat::kV4;
-      } else {
-        std::fprintf(stderr,
-                     "error: --index-format must be v3 or v4, got '%s'\n",
-                     std::string(value).c_str());
-        std::exit(2);
-      }
     } else if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "error: unknown flag '%s'\n", arg.c_str());
       std::exit(2);
@@ -191,7 +172,6 @@ int Usage() {
 std::unique_ptr<tix::index::SegmentedIndex> OpenSegmented(
     const Args& args, tix::storage::Database* db) {
   tix::index::SegmentedIndexOptions options;
-  options.tail_format = args.tail_format;
   options.load = LoadOptions(args);
   auto segmented =
       Check(tix::index::SegmentedIndex::Open(args.db_dir, options));
@@ -233,8 +213,7 @@ int CmdLoad(const Args& args) {
 
 int CmdIndex(const Args& args) {
   auto db = Check(tix::storage::Database::Open(args.db_dir, DbOptions(args)));
-  auto index =
-      Check(tix::index::InvertedIndex::Build(db.get(), true, args.tail_format));
+  auto index = Check(tix::index::InvertedIndex::Build(db.get()));
   const tix::Status saved = index.SaveToFile(IndexPath(args.db_dir));
   if (!saved.ok()) Die(saved);
   // A full rebuild covers every document, so segmented state is now
