@@ -25,14 +25,18 @@
 # decode-kernel differential fuzz: the SSSE3 shuffle kernel uses
 # 16-byte loads with explicit tail guards, and running the
 # every-prefix-truncation and random-garbage sweeps under ASan is the
-# proof those guards never read past the posting block.
+# proof those guards never read past the posting block. query_test
+# drives the engine's step matcher: node-range cuts, binary searches
+# over the tag index and the anchors, and subtree scans bounded by the
+# interval columns, through the seeded engine-vs-reference fuzz and the
+# deep-nesting regression.
 #
 #   scripts/check_sanitizers.sh [extra ctest args...]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-TARGETS=(parallel_exec_test topk_pushdown_test obs_test storage_test fault_test codec_test block_index_test mmap_index_test thread_pool_test server_test segment_test shard_test)
-FILTER="parallel_exec_test|topk_pushdown_test|obs_test|storage_test|fault_test|codec_test|block_index_test|mmap_index_test|thread_pool_test|server_test|segment_test|shard_test"
+TARGETS=(parallel_exec_test topk_pushdown_test obs_test storage_test fault_test codec_test block_index_test mmap_index_test query_test thread_pool_test server_test segment_test shard_test)
+FILTER="parallel_exec_test|topk_pushdown_test|obs_test|storage_test|fault_test|codec_test|block_index_test|mmap_index_test|query_test|thread_pool_test|server_test|segment_test|shard_test"
 
 run_preset() {
   local dir="$1" sanitize="$2"

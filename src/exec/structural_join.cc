@@ -100,23 +100,30 @@ std::vector<ScoredElement> SemiJoinDescendants(
   return out;
 }
 
+ScoredElement ResidentElement(const storage::Database& db,
+                              storage::NodeId id) {
+  ScoredElement element;
+  element.node = id;
+  element.doc = db.DocFromIndex(id);
+  element.start = db.StartFromIndex(id);
+  element.end = db.EndFromIndex(id);
+  element.level = db.LevelFromIndex(id);
+  return element;
+}
+
 Result<std::vector<ScoredElement>> TagScan(storage::Database* db,
-                                           std::string_view tag) {
+                                           std::string_view tag,
+                                           storage::NodeId begin,
+                                           storage::NodeId end) {
   std::vector<ScoredElement> out;
   const storage::TagId tag_id = db->LookupTag(tag);
   if (tag_id == text::kInvalidTermId) return out;
   const std::vector<storage::NodeId>* nodes = db->ElementsWithTag(tag_id);
   if (nodes == nullptr) return out;
-  out.reserve(nodes->size());
-  for (storage::NodeId id : *nodes) {
-    TIX_ASSIGN_OR_RETURN(const storage::NodeRecord record, db->GetNode(id));
-    ScoredElement element;
-    element.node = id;
-    element.doc = record.doc_id;
-    element.start = record.start;
-    element.end = record.end;
-    element.level = record.level;
-    out.push_back(std::move(element));
+  const auto first = std::lower_bound(nodes->begin(), nodes->end(), begin);
+  const auto last = std::lower_bound(first, nodes->end(), end);
+  for (auto it = first; it != last; ++it) {
+    out.push_back(ResidentElement(*db, *it));
   }
   return out;
 }

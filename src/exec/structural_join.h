@@ -35,10 +35,15 @@ std::vector<ScoredElement> SemiJoinDescendants(
     const std::vector<ScoredElement>& candidates,
     const std::vector<ScoredElement>& ancestors, bool or_self = false);
 
-/// Materializes elements with a given tag as a document-order stream of
-/// (unscored) elements — the index-scan input of structural joins.
-Result<std::vector<ScoredElement>> TagScan(storage::Database* db,
-                                           std::string_view tag);
+/// The unscored element for node `id`, read from the resident columns.
+ScoredElement ResidentElement(const storage::Database& db, storage::NodeId id);
+
+/// Elements with a given tag and node ids in [begin, end) as a
+/// document-order stream of (unscored) elements — the index-scan input
+/// of structural joins. Reads no records.
+Result<std::vector<ScoredElement>> TagScan(
+    storage::Database* db, std::string_view tag, storage::NodeId begin = 0,
+    storage::NodeId end = storage::kInvalidNodeId);
 
 }  // namespace tix::exec
 

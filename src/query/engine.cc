@@ -4,9 +4,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "algebra/pattern_tree.h"
 #include "algebra/pick.h"
-#include "algebra/reference_eval.h"
 #include "algebra/scoring.h"
 #include "common/string_util.h"
 #include "common/timer.h"
@@ -24,81 +22,159 @@ namespace tix::query {
 
 namespace {
 
-/// Translates path steps [0, count) into a chain-shaped scored pattern
-/// tree; step predicates become predicate subtrees. `step_labels[i]` is
-/// the pattern label bound to the i-th step.
-Result<algebra::ScoredPatternTree> BuildPattern(
-    const std::vector<PathStep>& steps, size_t count,
-    std::vector<int>* step_labels) {
-  algebra::ScoredPatternTree pattern;
-  algebra::PatternNode* current = nullptr;
-  int next_label = 1;
-  step_labels->clear();
-  for (size_t i = 0; i < count; ++i) {
-    const PathStep& step = steps[i];
-    algebra::PatternNode* node;
-    if (current == nullptr) {
-      node = pattern.CreateRoot(next_label++);
-      node->set_axis(algebra::Axis::kDescendant);
-    } else {
-      node = current->AddChild(
-          next_label++,
-          step.descendant ? algebra::Axis::kDescendant
-                          : algebra::Axis::kChild);
-    }
-    step_labels->push_back(node->label());
-    if (step.name != "*") node->set_tag(step.name);
-    for (const StepPredicate& predicate : step.predicates) {
-      // Walk the relative path with child-axis pattern nodes; the final
-      // node carries the value predicate.
-      algebra::PatternNode* target = node;
-      for (const std::string& name : predicate.path) {
-        target = target->AddChild(next_label++, algebra::Axis::kChild);
-        target->set_tag(name);
-      }
-      if (!predicate.attribute.empty()) {
-        if (!predicate.value.has_value()) {
-          return Status::NotImplemented(
-              "attribute existence tests are not supported");
-        }
-        target->AddPredicate(algebra::Predicate{
-            algebra::Predicate::Kind::kAttributeEquals, predicate.attribute,
-            *predicate.value});
-      } else if (predicate.value.has_value()) {
-        target->AddPredicate(algebra::Predicate{
-            algebra::Predicate::Kind::kContentEquals, "", *predicate.value});
-      }
-      // A bare element path is an existence test — the structural match
-      // itself enforces it.
-    }
-    current = node;
-  }
-  return pattern;
+using Elements = std::vector<exec::ScoredElement>;
+
+/// DeadlineExceeded naming `stage` once `deadline` has passed; OK
+/// otherwise. Polled between pipeline stages and path steps (TermJoin
+/// additionally polls mid-merge).
+Status CheckDeadline(const Deadline& deadline, const char* stage) {
+  if (!deadline.Expired()) return Status::OK();
+  return Status::DeadlineExceeded(
+      StrFormat("query deadline exceeded (at %s)", stage));
 }
 
-Result<std::vector<exec::ScoredElement>> ToElements(
-    storage::Database* db, const std::vector<storage::NodeId>& nodes) {
-  std::vector<exec::ScoredElement> out;
-  out.reserve(nodes.size());
-  for (storage::NodeId id : nodes) {
-    TIX_ASSIGN_OR_RETURN(const storage::NodeRecord record, db->GetNode(id));
-    exec::ScoredElement element;
-    element.node = id;
-    element.doc = record.doc_id;
-    element.start = record.start;
-    element.end = record.end;
-    element.level = record.level;
-    out.push_back(element);
+/// The engine's one structural matcher: each path step is a semi-join on
+/// the resident node columns, cut to the query's node range (one
+/// document's [root, root + node_count), or every live document). Work
+/// is O(steps x candidates) with no embeddings; only `*` steps (the
+/// element test) and predicates read records.
+class StepMatcher {
+ public:
+  /// `doc` null: every document, of which `live` (when set) names the
+  /// live ones.
+  StepMatcher(storage::Database* db, const storage::DocumentInfo* doc,
+              const index::IndexSnapshot* live, const Deadline& deadline)
+      : db_(db),
+        begin_(doc != nullptr ? doc->root : 0),
+        end_(static_cast<storage::NodeId>(
+            doc != nullptr ? doc->root + doc->node_count : db->num_nodes())),
+        live_(doc != nullptr ? nullptr : live),
+        deadline_(deadline) {}
+
+  bool Live(storage::DocId doc) const {
+    return live_ == nullptr || live_->IsLiveDocument(doc);
   }
-  std::sort(out.begin(), out.end(), exec::DocumentOrderLess);
-  out.erase(std::unique(out.begin(), out.end(),
-                        [](const exec::ScoredElement& a,
-                           const exec::ScoredElement& b) {
-                          return a.node == b.node;
-                        }),
-            out.end());
-  return out;
-}
+
+  /// Distinct bindings of the last of steps [0, count) in document order;
+  /// the first step matches anywhere in range, whatever its axis.
+  Result<Elements> Match(const std::vector<PathStep>& steps, size_t count) {
+    Elements bound;
+    for (size_t i = 0; i < count; ++i) {
+      TIX_ASSIGN_OR_RETURN(bound, Step(steps[i], i == 0 ? nullptr : &bound));
+    }
+    return bound;
+  }
+
+  /// Elements bound to `step` under `context` (nullptr: anywhere in
+  /// range), in document order. Candidates are `pool` (scored elements)
+  /// when given, else the tag index, else for `*` every node in range or
+  /// in the context subtrees. `or_self` admits a context element itself.
+  Result<Elements> Step(const PathStep& step, const Elements* context,
+                        bool or_self = false, const Elements* pool = nullptr) {
+    TIX_RETURN_IF_ERROR(CheckDeadline(deadline_, "path step"));
+    if (std::ranges::any_of(step.predicates, [](const StepPredicate& p) {
+          return !p.attribute.empty() && !p.value.has_value();
+        })) {
+      return Status::NotImplemented(
+          "attribute existence tests are not supported");
+    }
+    Elements candidates;
+    if (context != nullptr && context->empty()) return candidates;
+    if (pool != nullptr) {
+      const std::vector<storage::NodeId>* tagged = Tagged(step.name);
+      for (const exec::ScoredElement& element : *pool) {
+        if (step.name == "*" ||
+            (tagged && std::ranges::binary_search(*tagged, element.node))) {
+          candidates.push_back(element);
+        }
+      }
+    } else if (step.name != "*") {
+      TIX_ASSIGN_OR_RETURN(candidates,
+                           exec::TagScan(db_, step.name, begin_, end_));
+    } else {
+      storage::NodeId id = begin_;  // nested context subtrees scan once
+      for (size_t a = 0; a == 0 || (context && a < context->size()); ++a) {
+        const exec::ScoredElement* top = context ? &(*context)[a] : nullptr;
+        if (top != nullptr) id = std::max(id, top->node + (or_self ? 0 : 1));
+        for (; id < end_ && (top == nullptr ||
+                             (db_->DocFromIndex(id) == top->doc &&
+                              db_->StartFromIndex(id) < top->end));
+             ++id) {
+          TIX_ASSIGN_OR_RETURN(const storage::NodeRecord record,
+                               db_->GetNode(id));
+          if (record.is_element()) {
+            candidates.push_back(exec::ResidentElement(*db_, id));
+          }
+        }
+      }
+    }
+    if (context != nullptr && step.descendant) {
+      candidates = exec::SemiJoinDescendants(candidates, *context, or_self);
+    }
+    Elements out;
+    for (exec::ScoredElement& candidate : candidates) {
+      const storage::NodeId parent = db_->ParentFromIndex(candidate.node);
+      if (!Live(candidate.doc) ||
+          (context != nullptr && !step.descendant &&
+           !std::ranges::binary_search(*context, parent, {},
+                                       &exec::ScoredElement::node))) {
+        continue;
+      }
+      bool holds = true;
+      for (size_t i = 0; holds && i < step.predicates.size(); ++i) {
+        TIX_ASSIGN_OR_RETURN(holds, Holds(candidate.node, step.predicates[i]));
+      }
+      if (holds) out.push_back(std::move(candidate));
+    }
+    return out;
+  }
+
+ private:
+  const std::vector<storage::NodeId>* Tagged(std::string_view name) const {
+    const storage::TagId tag = db_->LookupTag(name);
+    return tag == text::kInvalidTermId ? nullptr : db_->ElementsWithTag(tag);
+  }
+
+  /// Whether `predicate` holds at `node`: a chain of children named by its
+  /// path (tag index + parent column) reaches a node whose attribute, or
+  /// trimmed alltext, equals the value (a bare path needs only the chain).
+  Result<bool> Holds(storage::NodeId node, const StepPredicate& predicate,
+                     size_t depth = 0) {
+    if (depth < predicate.path.size()) {
+      const std::vector<storage::NodeId>* tagged =
+          Tagged(predicate.path[depth]);
+      if (tagged == nullptr) return false;
+      const exec::ScoredElement self = exec::ResidentElement(*db_, node);
+      for (auto it = std::upper_bound(tagged->begin(), tagged->end(), node);
+           it != tagged->end() && db_->DocFromIndex(*it) == self.doc &&
+           db_->StartFromIndex(*it) < self.end;
+           ++it) {
+        if (db_->ParentFromIndex(*it) != node) continue;
+        TIX_ASSIGN_OR_RETURN(const bool holds,
+                             Holds(*it, predicate, depth + 1));
+        if (holds) return true;
+      }
+      return false;
+    }
+    if (!predicate.value.has_value()) return true;
+    if (predicate.attribute.empty()) {
+      TIX_ASSIGN_OR_RETURN(const std::string text, db_->AllTextOf(node));
+      return Trim(text) == *predicate.value;
+    }
+    TIX_ASSIGN_OR_RETURN(const storage::NodeRecord record, db_->GetNode(node));
+    TIX_ASSIGN_OR_RETURN(const storage::AttributeList attributes,
+                         db_->AttributesOf(record));
+    return std::ranges::any_of(attributes, [&](const xml::XmlAttribute& a) {
+      return a.name == predicate.attribute && a.value == *predicate.value;
+    });
+  }
+
+  storage::Database* db_;
+  const storage::NodeId begin_;
+  const storage::NodeId end_;
+  const index::IndexSnapshot* live_;
+  const Deadline& deadline_;
+};
 
 /// Copies a join's merged and per-partition statistics onto its EXPLAIN
 /// span (no-op when the span is disabled). Works for any join exposing
@@ -161,14 +237,6 @@ Result<QueryOutput> QueryEngine::ExecuteText(std::string_view text) {
   return Execute(query);
 }
 
-Status QueryEngine::CheckDeadline(const char* stage) const {
-  if (options_.deadline.Expired()) {
-    return Status::DeadlineExceeded(
-        StrFormat("query deadline exceeded (at %s)", stage));
-  }
-  return Status::OK();
-}
-
 double QueryEngine::TermIdf(std::string_view term) const {
   return snapshot_ != nullptr ? snapshot_->InverseDocumentFrequency(term)
                               : index_->InverseDocumentFrequency(term);
@@ -187,21 +255,40 @@ Result<storage::DocumentInfo> QueryEngine::ResolveDocument(
 
 Result<std::vector<exec::ScoredElement>> QueryEngine::RunScoringJoin(
     const algebra::IrPredicate& predicate, const algebra::Scorer& scorer,
-    const exec::ParallelTermJoinOptions& join_options,
-    obs::OperatorSpan* span) {
+    exec::DocRange range, const algebra::ThresholdSpec* pushdown,
+    obs::OperatorMetrics* plan) {
+  std::string detail = options_.enhanced_term_join ? "enhanced" : "plain";
+  if (options_.num_threads > 0) {
+    detail += StrFormat(", threads=%zu", options_.num_threads);
+  }
+  exec::ParallelTermJoinOptions join_options;
+  join_options.join.enhanced = options_.enhanced_term_join;
+  join_options.join.deadline = &options_.deadline;
+  join_options.join.range = range;
+  join_options.num_threads = options_.num_threads;
+  if (pushdown != nullptr) {
+    detail += StrFormat(", topk-pushdown(k=%zu)", *pushdown->top_k);
+    join_options.join.threshold = *pushdown;
+    // Cross-process floor sharing (a shard session sets these).
+    join_options.join.shared_floor = options_.shared_topk_floor;
+    join_options.join.floor_poll = options_.topk_floor_poll;
+  }
+  obs::OperatorSpan span(
+      plan, options_.num_threads > 0 ? "ParallelTermJoin" : "TermJoin",
+      std::move(detail));
   std::vector<exec::ScoredElement> scored;
   if (snapshot_ != nullptr) {
     exec::SegmentedTermJoin join(db_, snapshot_.get(), &predicate, &scorer,
                                  join_options);
     TIX_ASSIGN_OR_RETURN(scored, join.Run());
-    span->set_rows(scored.size());
-    AttachTermJoinStats(span, join);
+    span.set_rows(scored.size());
+    AttachTermJoinStats(&span, join);
   } else {
     exec::ParallelTermJoin join(db_, index_, &predicate, &scorer,
                                 join_options);
     TIX_ASSIGN_OR_RETURN(scored, join.Run());
-    span->set_rows(scored.size());
-    AttachTermJoinStats(span, join);
+    span.set_rows(scored.size());
+    AttachTermJoinStats(&span, join);
   }
   return scored;
 }
@@ -280,19 +367,16 @@ Result<QueryOutput> QueryEngine::Execute(const Query& query) {
 Result<QueryOutput> QueryEngine::ExecuteSelect(const Query& query,
                                                obs::OperatorMetrics* plan) {
   QueryOutput output;
-  TIX_RETURN_IF_ERROR(CheckDeadline("start"));
   // document("*") targets every live document — the corpus-wide mode a
-  // scatter-gather shard executes (docs/SHARDING.md). Every per-document
-  // filter below widens to "any live document".
+  // scatter-gather shard executes (docs/SHARDING.md). The matcher's node
+  // range and the TermJoin doc range widen to "any live document".
   const bool all_documents = query.path.document == "*";
   storage::DocumentInfo doc;
   if (!all_documents) {
     TIX_ASSIGN_OR_RETURN(doc, ResolveDocument(query.path.document));
   }
-  auto in_scope = [&](storage::DocId doc_id) {
-    if (!all_documents) return doc_id == doc.doc_id;
-    return snapshot_ == nullptr || snapshot_->IsLiveDocument(doc_id);
-  };
+  StepMatcher matcher(db_, all_documents ? nullptr : &doc, snapshot_.get(),
+                      options_.deadline);
 
   const std::vector<PathStep>& steps = query.path.steps;
   const PathStep& target_step = steps.back();
@@ -305,46 +389,25 @@ Result<QueryOutput> QueryEngine::ExecuteSelect(const Query& query,
   bool pushed_down = false;
 
   // ---- Anchors: the structural part (every step but the last). -------
-  std::vector<storage::NodeId> anchor_nodes;
   std::vector<exec::ScoredElement> anchors;
   {
     obs::OperatorSpan span(plan, "StructuralMatch",
                            steps.size() == 1 ? "document root"
                                              : "anchor pattern");
-    if (steps.size() == 1) {
-      if (all_documents) {
-        for (const storage::DocumentInfo& info : db_->documents()) {
-          if (in_scope(info.doc_id)) anchor_nodes.push_back(info.root);
-        }
-        std::sort(anchor_nodes.begin(), anchor_nodes.end());
-      } else {
-        anchor_nodes.push_back(doc.root);
-      }
+    if (steps.size() > 1) {
+      TIX_ASSIGN_OR_RETURN(anchors, matcher.Match(steps, steps.size() - 1));
+    } else if (!all_documents) {
+      anchors.push_back(exec::ResidentElement(*db_, doc.root));
     } else {
-      std::vector<int> step_labels;
-      TIX_ASSIGN_OR_RETURN(
-          const algebra::ScoredPatternTree anchor_pattern,
-          BuildPattern(steps, steps.size() - 1, &step_labels));
-      TIX_ASSIGN_OR_RETURN(const std::vector<algebra::Embedding> embeddings,
-                           algebra::MatchPattern(db_, anchor_pattern));
-      const int anchor_label = step_labels.back();
-      std::unordered_set<storage::NodeId> distinct;
-      for (const algebra::Embedding& embedding : embeddings) {
-        for (const auto& [label, node] : embedding) {
-          if (label == anchor_label) {
-            TIX_ASSIGN_OR_RETURN(const storage::NodeRecord record,
-                                 db_->GetNode(node));
-            if (in_scope(record.doc_id)) distinct.insert(node);
-          }
+      for (const storage::DocumentInfo& info : db_->documents()) {
+        if (matcher.Live(info.doc_id)) {
+          anchors.push_back(exec::ResidentElement(*db_, info.root));
         }
       }
-      anchor_nodes.assign(distinct.begin(), distinct.end());
-      std::sort(anchor_nodes.begin(), anchor_nodes.end());
     }
-    output.stats.anchors = anchor_nodes.size();
-    span.set_rows(anchor_nodes.size());
-    if (anchor_nodes.empty()) return output;
-    TIX_ASSIGN_OR_RETURN(anchors, ToElements(db_, anchor_nodes));
+    output.stats.anchors = anchors.size();
+    span.set_rows(anchors.size());
+    if (anchors.empty()) return output;
   }
 
   // ---- Score generation (TermJoin) or pure structural matching. ------
@@ -363,103 +426,48 @@ Result<QueryOutput> QueryEngine::ExecuteSelect(const Query& query,
     //  - the scorer must be simple and monotone, or count bounds are
     //    not score bounds;
     //  - no Pick (it filters between TermJoin and Threshold);
-    //  - a single-step `*` descendant path, so Scope (anchored at the
-    //    document root) keeps every scored element of the query's
-    //    document — and the join is restricted to that document, since
-    //    a global top-K over other documents would answer the wrong
-    //    query. document("*") widens the restriction to every live
-    //    document (the whole corpus), which is its meaning.
+    //  - a single-step `*` descendant path without predicates, so Scope
+    //    (anchored at the document root) keeps every scored element of
+    //    the join's doc range.
     const bool pushdown =
         options_.threshold_pushdown && threshold_spec.top_k.has_value() &&
         !query.pick.has_value() && steps.size() == 1 &&
         target_step.name == "*" && target_step.descendant &&
-        !scorer->is_complex() && scorer->is_monotone();
+        target_step.predicates.empty() && !scorer->is_complex() &&
+        scorer->is_monotone();
     pushed_down = pushdown;
 
-    std::vector<exec::ScoredElement> all_scored;
-    {
-      std::string detail = options_.enhanced_term_join ? "enhanced" : "plain";
-      if (options_.num_threads > 0) {
-        detail += StrFormat(", threads=%zu", options_.num_threads);
-      }
-      if (pushdown) {
-        detail += StrFormat(", topk-pushdown(k=%zu)", *threshold_spec.top_k);
-      }
-      obs::OperatorSpan span(
-          plan, options_.num_threads > 0 ? "ParallelTermJoin" : "TermJoin",
-          std::move(detail));
-      exec::ParallelTermJoinOptions join_options;
-      join_options.join.enhanced = options_.enhanced_term_join;
-      join_options.join.deadline = &options_.deadline;
-      join_options.num_threads = options_.num_threads;
-      if (pushdown) {
-        join_options.join.threshold = threshold_spec;
-        join_options.join.range =
-            all_documents ? exec::DocRange{}
-                          : exec::DocRange{doc.doc_id, doc.doc_id + 1};
-        // Cross-process floor sharing (a shard session sets these).
-        join_options.join.shared_floor = options_.shared_topk_floor;
-        join_options.join.floor_poll = options_.topk_floor_poll;
-      }
-      TIX_ASSIGN_OR_RETURN(
-          all_scored, RunScoringJoin(predicate, *scorer, join_options, &span));
-    }
+    // Only the query's document can survive Scope.
+    TIX_ASSIGN_OR_RETURN(
+        std::vector<exec::ScoredElement> all_scored,
+        RunScoringJoin(predicate, *scorer,
+                       all_documents
+                           ? exec::DocRange{}
+                           : exec::DocRange{doc.doc_id, doc.doc_id + 1},
+                       pushdown ? &threshold_spec : nullptr, plan));
     std::sort(all_scored.begin(), all_scored.end(), exec::DocumentOrderLess);
-    TIX_RETURN_IF_ERROR(CheckDeadline("Scope"));
 
-    // Scope to the anchors; `*` targets use descendant-or-self (the
-    // paper's ad* edge), named targets plain descendant/child.
+    // Scope: the target step over the scored elements, relative to the
+    // anchors; `*` targets use descendant-or-self (the paper's ad* edge).
     obs::OperatorSpan span(plan, "Scope",
                            "anchor semi-join + target filters");
-    const bool or_self = target_step.name == "*";
-    std::vector<exec::ScoredElement> scoped =
-        exec::SemiJoinDescendants(all_scored, anchors, or_self);
-    // Name and axis filters on the target step.
-    for (exec::ScoredElement& element : scoped) {
-      TIX_ASSIGN_OR_RETURN(const storage::NodeRecord record,
-                           db_->GetNode(element.node));
-      if (target_step.name != "*" &&
-          db_->TagName(record.tag_id) != target_step.name) {
-        continue;
-      }
-      if (!target_step.descendant) {
-        // Child axis: the parent must be an anchor.
-        if (!std::binary_search(anchor_nodes.begin(), anchor_nodes.end(),
-                                record.parent)) {
-          continue;
-        }
-      }
-      scored.push_back(std::move(element));
-    }
+    TIX_ASSIGN_OR_RETURN(scored, matcher.Step(target_step, &anchors,
+                                              target_step.name == "*",
+                                              &all_scored));
     span.set_rows(scored.size());
   } else {
-    // Boolean query: match the full pattern and return target bindings.
-    obs::OperatorSpan span(plan, "StructuralMatch", "full pattern");
-    std::vector<int> step_labels;
-    TIX_ASSIGN_OR_RETURN(const algebra::ScoredPatternTree full_pattern,
-                         BuildPattern(steps, steps.size(), &step_labels));
-    TIX_ASSIGN_OR_RETURN(const std::vector<algebra::Embedding> embeddings,
-                         algebra::MatchPattern(db_, full_pattern));
-    const int target_label = step_labels.back();
-    std::unordered_set<storage::NodeId> distinct;
-    for (const algebra::Embedding& embedding : embeddings) {
-      for (const auto& [label, node] : embedding) {
-        if (label == target_label) {
-          TIX_ASSIGN_OR_RETURN(const storage::NodeRecord record,
-                               db_->GetNode(node));
-          if (in_scope(record.doc_id)) distinct.insert(node);
-        }
-      }
-    }
-    std::vector<storage::NodeId> nodes(distinct.begin(), distinct.end());
-    std::sort(nodes.begin(), nodes.end());
-    TIX_ASSIGN_OR_RETURN(scored, ToElements(db_, nodes));
+    // Boolean query: the target is one more step from the anchors. A
+    // one-step path matches anywhere in scope, the root included.
+    obs::OperatorSpan span(plan, "StructuralMatch", "target step");
+    TIX_ASSIGN_OR_RETURN(scored, steps.size() == 1
+                                     ? matcher.Match(steps, 1)
+                                     : matcher.Step(target_step, &anchors));
     span.set_rows(scored.size());
   }
   output.stats.scored_elements = scored.size();
 
   // ---- Pick: granularity selection per anchor. ------------------------
-  TIX_RETURN_IF_ERROR(CheckDeadline("Pick"));
+  TIX_RETURN_IF_ERROR(CheckDeadline(options_.deadline, "Pick"));
   if (query.pick.has_value() && !scored.empty()) {
     obs::OperatorSpan span(plan, "Pick", query.pick->criterion);
     std::unique_ptr<algebra::PickCriterion> criterion;
@@ -563,33 +571,20 @@ Result<QueryOutput> QueryEngine::ExecuteSelect(const Query& query,
 Result<QueryOutput> QueryEngine::ExecuteJoin(const Query& query,
                                              obs::OperatorMetrics* plan) {
   QueryOutput output;
-  TIX_RETURN_IF_ERROR(CheckDeadline("start"));
   const SimJoinClause& simjoin = *query.simjoin;
 
-  // Bindings of each FOR variable: the full structural pattern of its
-  // path (no ad* target in join queries; the variable IS the last step).
+  // Bindings of each FOR variable: the last step of its path (no ad*
+  // target in join queries; the variable IS the last step).
   auto bindings = [&](const PathExpr& path)
       -> Result<std::vector<storage::NodeId>> {
     TIX_ASSIGN_OR_RETURN(const storage::DocumentInfo doc,
                          ResolveDocument(path.document));
-    std::vector<int> step_labels;
-    TIX_ASSIGN_OR_RETURN(
-        const algebra::ScoredPatternTree pattern,
-        BuildPattern(path.steps, path.steps.size(), &step_labels));
-    TIX_ASSIGN_OR_RETURN(const std::vector<algebra::Embedding> embeddings,
-                         algebra::MatchPattern(db_, pattern));
-    std::unordered_set<storage::NodeId> distinct;
-    for (const algebra::Embedding& embedding : embeddings) {
-      for (const auto& [label, node] : embedding) {
-        if (label != step_labels.back()) continue;
-        TIX_ASSIGN_OR_RETURN(const storage::NodeRecord record,
-                             db_->GetNode(node));
-        if (record.doc_id == doc.doc_id) distinct.insert(node);
-      }
-    }
-    std::vector<storage::NodeId> out(distinct.begin(), distinct.end());
-    std::sort(out.begin(), out.end());
-    return out;
+    TIX_ASSIGN_OR_RETURN(const Elements elements,
+                         StepMatcher(db_, &doc, nullptr, options_.deadline)
+                             .Match(path.steps, path.steps.size()));
+    std::vector<storage::NodeId> nodes(elements.size());
+    std::ranges::transform(elements, nodes.begin(), &exec::ScoredElement::node);
+    return nodes;
   };
   std::vector<storage::NodeId> left_anchors;
   std::vector<storage::NodeId> right_anchors;
@@ -601,7 +596,7 @@ Result<QueryOutput> QueryEngine::ExecuteJoin(const Query& query,
     span.set_rows(output.stats.anchors);
   }
   if (left_anchors.empty() || right_anchors.empty()) return output;
-  TIX_RETURN_IF_ERROR(CheckDeadline("SimilarityJoin"));
+  TIX_RETURN_IF_ERROR(CheckDeadline(options_.deadline, "SimilarityJoin"));
 
   // Similarity join on the designated descendant elements.
   obs::OperatorSpan simjoin_span(
@@ -639,32 +634,20 @@ Result<QueryOutput> QueryEngine::ExecuteJoin(const Query& query,
   // Best IR component score per left anchor (Query 3's $d/@score).
   std::unordered_map<storage::NodeId, double> ir_score;
   if (query.score.has_value()) {
-    std::string detail = options_.enhanced_term_join ? "enhanced" : "plain";
-    if (options_.num_threads > 0) {
-      detail += StrFormat(", threads=%zu", options_.num_threads);
-    }
-    obs::OperatorSpan span(
-        plan, options_.num_threads > 0 ? "ParallelTermJoin" : "TermJoin",
-        std::move(detail));
     algebra::IrPredicate predicate = algebra::IrPredicate::FooStyle(
         query.score->primary, query.score->desirable);
     TIX_ASSIGN_OR_RETURN(const std::unique_ptr<algebra::Scorer> scorer,
                          MakeScorerForClause(*query.score, predicate));
-    exec::ParallelTermJoinOptions term_join_options;
-    term_join_options.join.enhanced = options_.enhanced_term_join;
-    term_join_options.join.deadline = &options_.deadline;
-    term_join_options.num_threads = options_.num_threads;
     TIX_ASSIGN_OR_RETURN(
         const std::vector<exec::ScoredElement> scored,
-        RunScoringJoin(predicate, *scorer, term_join_options, &span));
+        RunScoringJoin(predicate, *scorer, exec::DocRange{}, nullptr, plan));
     output.stats.scored_elements = scored.size();
     for (const storage::NodeId anchor : left_anchors) {
-      TIX_ASSIGN_OR_RETURN(const storage::NodeRecord record,
-                           db_->GetNode(anchor));
+      const exec::ScoredElement bound = exec::ResidentElement(*db_, anchor);
       double best = 0.0;
       for (const exec::ScoredElement& element : scored) {
-        if (element.doc == record.doc_id && element.start >= record.start &&
-            element.end <= record.end) {
+        if (element.doc == bound.doc && element.start >= bound.start &&
+            element.end <= bound.end) {
           best = std::max(best, element.score);
         }
       }

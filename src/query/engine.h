@@ -20,9 +20,11 @@
 
 /// \file
 /// Query engine: compiles a parsed TIX query into the physical pipeline
-/// of Sec. 5 — structural matching for the boolean part, TermJoin for
-/// score generation, the stack-based Pick for granularity selection, and
-/// the Threshold operator for final filtering — and runs it.
+/// of Sec. 5 — one structural matcher (path steps as document-scoped
+/// semi-joins on the resident node columns) for the boolean part,
+/// TermJoin over the queried documents for score generation, the
+/// stack-based Pick for granularity selection, and the Threshold
+/// operator for final filtering — and runs it.
 
 namespace tix::query {
 
@@ -78,10 +80,10 @@ struct EngineOptions {
   /// early termination). The engine falls back to the materialize-then-
   /// threshold pipeline whenever pushdown could change results: complex
   /// or non-monotone scorers, min_score without top_k, Pick between
-  /// TermJoin and Threshold, multi-step paths or named targets (whose
-  /// Scope filters elements after scoring). Results are identical either
-  /// way; only work saved differs. Disable to force the post-pass (the
-  /// CLI's --no-pushdown, equivalence tests, benches).
+  /// TermJoin and Threshold, multi-step paths, named targets or target
+  /// predicates (whose Scope filters elements after scoring). Results
+  /// are identical either way; only work saved differs. Disable to force
+  /// the post-pass (the CLI's --no-pushdown, equivalence tests, benches).
   bool threshold_pushdown = true;
   /// Capacity of the process-wide decoded-posting-block cache (the CLI's
   /// --block-cache-mb). 0 disables caching: every block access on a
@@ -89,11 +91,12 @@ struct EngineOptions {
   /// is shared by every engine in the process, so the last-constructed
   /// engine's setting wins.
   size_t block_cache_bytes = index::kDefaultBlockCacheBytes;
-  /// Query deadline, polled between pipeline stages and inside the
-  /// TermJoin merge loop; execution aborts with Status::DeadlineExceeded
-  /// once past it. Default-constructed = unlimited. The server sets this
-  /// per query from its timeout knob (docs/SERVING.md); granularity is a
-  /// stage boundary or ~4k merged postings, not an exact instant.
+  /// Query deadline, polled between pipeline stages and path steps and
+  /// inside the TermJoin merge loop; execution aborts with
+  /// Status::DeadlineExceeded once past it. Default-constructed =
+  /// unlimited. The server sets this per query from its timeout knob
+  /// (docs/SERVING.md); granularity is a stage boundary or ~4k merged
+  /// postings, not an exact instant.
   Deadline deadline;
   /// Cross-process top-K floor (docs/SHARDING.md): when set, an eligible
   /// pushdown join prunes against this floor instead of a run-local one
@@ -158,16 +161,13 @@ class QueryEngine {
   /// first-match rule over a database of the same live docs); deleted or
   /// not-yet-ingested documents are NotFound.
   Result<storage::DocumentInfo> ResolveDocument(const std::string& name) const;
-  /// Runs the scoring join — ParallelTermJoin, or SegmentedTermJoin in
-  /// snapshot mode — and attaches its statistics to `span`.
+  /// Runs the scoring join over `range` — ParallelTermJoin, or
+  /// SegmentedTermJoin in snapshot mode — under a TermJoin span of
+  /// `plan`, pushing the `pushdown` top-K into it when set.
   Result<std::vector<exec::ScoredElement>> RunScoringJoin(
       const algebra::IrPredicate& predicate, const algebra::Scorer& scorer,
-      const exec::ParallelTermJoinOptions& join_options,
-      obs::OperatorSpan* span);
-  /// DeadlineExceeded naming `stage` once options_.deadline has passed;
-  /// OK otherwise. Called between pipeline stages (TermJoin additionally
-  /// polls mid-merge).
-  Status CheckDeadline(const char* stage) const;
+      exec::DocRange range, const algebra::ThresholdSpec* pushdown,
+      obs::OperatorMetrics* plan);
 
   storage::Database* db_;
   const index::InvertedIndex* index_;

@@ -1,13 +1,23 @@
+#include <algorithm>
+#include <chrono>
+#include <filesystem>
 #include <memory>
+#include <random>
+#include <set>
 
 #include <gtest/gtest.h>
 
+#include "algebra/pattern_tree.h"
+#include "algebra/reference_eval.h"
+#include "common/timer.h"
+#include "index/segmented_index.h"
 #include "query/engine.h"
 #include "query/lexer.h"
 #include "query/parser.h"
 #include "query/similarity_join.h"
 #include "tests/test_util.h"
 #include "workload/paper_example.h"
+#include "xml/parser.h"
 
 namespace tix::query {
 namespace {
@@ -443,6 +453,377 @@ TEST_F(EngineTest, FirstDescendantWithTagMissing) {
       Unwrap(FirstDescendantWithTag(db_.get(), *articles, "nonexistent"));
   ASSERT_EQ(missing.size(), 1u);
   EXPECT_EQ(missing[0], storage::kInvalidNodeId);
+}
+
+// ------------------------------------------------ target-step predicates
+
+/// One article whose `sec id="2"` is the only element with id 2 but not
+/// the best-scoring one.
+class TargetPredicateTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    db_ = MakeTestDatabase(dir_.path());
+    const xml::XmlDocument doc = Unwrap(xml::ParseXml(
+        R"(<article id="1"><title>search engines</title>)"
+        R"(<sec id="1"><p>search and search again</p></sec>)"
+        R"(<sec id="2"><p>one search</p></sec></article>)",
+        "a.xml"));
+    Unwrap(db_->AddDocument(doc));
+    index_ = std::make_unique<index::InvertedIndex>(
+        Unwrap(index::InvertedIndex::Build(db_.get())));
+  }
+
+  std::vector<storage::NodeId> Nodes(const std::string& text,
+                                     bool pushdown = true) {
+    EngineOptions options;
+    options.threshold_pushdown = pushdown;
+    QueryEngine engine(db_.get(), index_.get(), options);
+    std::vector<storage::NodeId> nodes;
+    for (const QueryResultItem& item :
+         Unwrap(engine.ExecuteText(text)).results) {
+      nodes.push_back(item.node);
+    }
+    return nodes;
+  }
+
+  std::string IdOf(storage::NodeId node) {
+    const storage::AttributeList attributes =
+        Unwrap(db_->AttributesOf(Unwrap(db_->GetNode(node))));
+    return attributes.empty() ? "" : attributes[0].value;
+  }
+
+  TempDir dir_;
+  std::unique_ptr<storage::Database> db_;
+  std::unique_ptr<index::InvertedIndex> index_;
+};
+
+TEST_F(TargetPredicateTest, ScoredQueryAppliesTargetPredicate) {
+  const std::vector<storage::NodeId> nodes = Nodes(
+      R"(FOR $a IN document("a.xml")//article//sec[@id = "2"]
+         SCORE $a USING foo({"search"}) RETURN $a)");
+  ASSERT_EQ(nodes.size(), 1u);
+  EXPECT_EQ(IdOf(nodes[0]), "2");
+}
+
+TEST_F(TargetPredicateTest, BooleanAndScoredFormsAgree) {
+  const std::vector<storage::NodeId> boolean = Nodes(
+      R"(FOR $a IN document("a.xml")//article//sec[@id = "2"] RETURN $a)");
+  ASSERT_EQ(boolean.size(), 1u);
+  EXPECT_EQ(IdOf(boolean[0]), "2");
+  EXPECT_EQ(Nodes(R"(FOR $a IN document("a.xml")//article//sec[@id = "2"]
+                     SCORE $a USING foo({"search"}) RETURN $a)"),
+            boolean);
+}
+
+TEST_F(TargetPredicateTest, PredicateBlocksTopKPushdown) {
+  // The article outscores sec 2, so a top-1 taken before the filter
+  // would keep the article and then lose it to [@id = "2"].
+  const std::string text =
+      R"(FOR $a IN document("a.xml")//*[@id = "2"]
+         SCORE $a USING foo({"search"}) THRESHOLD STOP AFTER 1 RETURN $a)";
+  const std::vector<storage::NodeId> pushed = Nodes(text, true);
+  ASSERT_EQ(pushed.size(), 1u);
+  EXPECT_EQ(IdOf(pushed[0]), "2");
+  EXPECT_EQ(pushed, Nodes(text, false));
+}
+
+// ------------------------------------------------------- deep nesting
+
+/// 40 nested <a> elements around one text node: 41 nodes, 40 deep.
+std::unique_ptr<storage::Database> MakeDeepDatabase(const std::string& dir) {
+  std::string xml;
+  for (int i = 0; i < 40; ++i) xml += "<a>";
+  xml += "deep";
+  for (int i = 0; i < 40; ++i) xml += "</a>";
+  auto db = MakeTestDatabase(dir);
+  Unwrap(db->AddDocument(Unwrap(xml::ParseXml(xml, "deep.xml"))));
+  return db;
+}
+
+std::string DeepQuery(int steps) {
+  std::string text = R"(FOR $a IN document("deep.xml"))";
+  for (int i = 0; i < steps; ++i) text += "//a";
+  return text + " RETURN $a";
+}
+
+TEST(DeepNestingTest, ManyStepQueriesStayOutputLinear) {
+  TempDir dir;
+  auto db = MakeDeepDatabase(dir.path());
+  ASSERT_EQ(db->num_nodes(), 41u);
+  const index::InvertedIndex index =
+      Unwrap(index::InvertedIndex::Build(db.get()));
+  QueryEngine engine(db.get(), &index);
+  for (const auto& [steps, rows] : {std::pair{6, 35u}, std::pair{8, 33u}}) {
+    WallTimer timer;
+    const QueryOutput output = Unwrap(engine.ExecuteText(DeepQuery(steps)));
+    EXPECT_LT(timer.ElapsedSeconds(), 0.5) << steps << " steps";
+    EXPECT_EQ(output.results.size(), rows) << steps << " steps";
+  }
+}
+
+TEST(DeepNestingTest, ExpiredDeadlineStopsInsideMatching) {
+  TempDir dir;
+  auto db = MakeDeepDatabase(dir.path());
+  const index::InvertedIndex index =
+      Unwrap(index::InvertedIndex::Build(db.get()));
+  EngineOptions options;
+  options.deadline =
+      Deadline::At(std::chrono::steady_clock::now() - std::chrono::seconds(1));
+  QueryEngine engine(db.get(), &index, options);
+  const Status status = engine.ExecuteText(DeepQuery(6)).status();
+  EXPECT_TRUE(status.IsDeadlineExceeded()) << status.ToString();
+  EXPECT_NE(status.ToString().find("path step"), std::string::npos)
+      << status.ToString();
+}
+
+// ------------------------------------- seeded engine-vs-reference fuzz
+
+/// Appends a random element over tags {a, b, c}: optional id in 0..2,
+/// text from a small vocabulary (a lone "x" makes [b = "x"] hold), up
+/// to three children, at most five levels.
+void AppendRandomElement(std::mt19937* rng, int depth, std::string* xml) {
+  static const char* const kTags[] = {"a", "b", "c"};
+  static const char* const kTexts[] = {"x", "alpha", "beta gamma",
+                                       "alpha beta alpha", " x "};
+  const std::string tag = kTags[(*rng)() % 3];
+  *xml += "<" + tag;
+  if ((*rng)() % 2 == 0) {
+    *xml += " id=\"" + std::to_string((*rng)() % 3) + "\"";
+  }
+  *xml += ">";
+  const unsigned children = depth >= 4 ? 0 : (*rng)() % 4;
+  if (children == 0 || (*rng)() % 3 == 0) *xml += kTexts[(*rng)() % 5];
+  for (unsigned i = 0; i < children; ++i) {
+    AppendRandomElement(rng, depth + 1, xml);
+  }
+  *xml += "</" + tag + ">";
+}
+
+/// The reference pattern for path steps [0, count), built independently
+/// of the engine: a chain whose nodes carry the steps' names, with
+/// [@id = "n"] as an attribute predicate and [b = "x"] as a child `b`
+/// whose content equals "x". Returns the last step's label.
+int BuildReferencePattern(const std::vector<PathStep>& steps, size_t count,
+                          algebra::ScoredPatternTree* pattern) {
+  int label = 0;
+  algebra::PatternNode* node = nullptr;
+  for (size_t i = 0; i < count; ++i) {
+    node = node == nullptr
+               ? pattern->CreateRoot(++label)
+               : node->AddChild(++label, steps[i].descendant
+                                             ? algebra::Axis::kDescendant
+                                             : algebra::Axis::kChild);
+    if (steps[i].name != "*") node->set_tag(steps[i].name);
+    for (const StepPredicate& predicate : steps[i].predicates) {
+      if (!predicate.attribute.empty()) {
+        node->AddPredicate(algebra::Predicate{
+            algebra::Predicate::Kind::kAttributeEquals, predicate.attribute,
+            *predicate.value});
+      } else {
+        algebra::PatternNode* child =
+            node->AddChild(100 + label, algebra::Axis::kChild);
+        child->set_tag(predicate.path[0]);
+        child->AddPredicate(algebra::Predicate{
+            algebra::Predicate::Kind::kContentEquals, "", *predicate.value});
+      }
+    }
+  }
+  return node->label();
+}
+
+/// Distinct bindings of the last of steps [0, count) per the reference
+/// evaluator, kept to documents `in_scope` accepts.
+std::set<storage::NodeId> ReferenceBindings(
+    storage::Database* db, const std::vector<PathStep>& steps, size_t count,
+    const std::function<bool(storage::DocId)>& in_scope) {
+  algebra::ScoredPatternTree pattern;
+  const int label = BuildReferencePattern(steps, count, &pattern);
+  std::set<storage::NodeId> out;
+  for (const algebra::Embedding& embedding :
+       Unwrap(algebra::MatchPattern(db, pattern))) {
+    for (const auto& [bound_label, node] : embedding) {
+      if (bound_label == label && in_scope(db->DocFromIndex(node))) {
+        out.insert(node);
+      }
+    }
+  }
+  return out;
+}
+
+/// One random query: path, document, score and top-K choices.
+struct FuzzQuery {
+  std::string document;
+  std::vector<PathStep> steps;
+  bool scored = false;
+  std::optional<size_t> top_k;
+  std::string text;
+};
+
+FuzzQuery RandomQuery(std::mt19937* rng, const std::string& document) {
+  static const char* const kNames[] = {"a", "b", "c", "*"};
+  FuzzQuery query;
+  query.document = document;
+  query.text = "FOR $v IN document(\"" + document + "\")";
+  const unsigned num_steps = 1 + (*rng)() % 4;
+  for (unsigned i = 0; i < num_steps; ++i) {
+    PathStep step;
+    step.descendant = (*rng)() % 3 != 0;
+    step.name = kNames[(*rng)() % 4];
+    query.text += (step.descendant ? "//" : "/") + step.name;
+    const unsigned predicate = (*rng)() % 6;
+    if (predicate == 0) {
+      const std::string id = std::to_string((*rng)() % 3);
+      step.predicates.push_back(StepPredicate{{}, "id", id});
+      query.text += "[@id = \"" + id + "\"]";
+    } else if (predicate == 1) {
+      step.predicates.push_back(StepPredicate{{"b"}, "", "x"});
+      query.text += "[b = \"x\"]";
+    }
+    query.steps.push_back(std::move(step));
+  }
+  query.scored = (*rng)() % 2 == 0;
+  if (query.scored) {
+    query.text += R"( SCORE $v USING foo({"alpha"}, {"beta", "gamma"}))";
+    if ((*rng)() % 2 == 0) {
+      query.top_k = 1 + (*rng)() % 4;
+      query.text += " THRESHOLD STOP AFTER " + std::to_string(*query.top_k);
+    }
+  }
+  query.text += " RETURN $v";
+  return query;
+}
+
+/// What the engine must answer, from the reference evaluator alone.
+struct ExpectedAnswer {
+  uint64_t anchors = 0;
+  std::vector<std::pair<storage::NodeId, double>> results;
+};
+
+ExpectedAnswer ReferenceAnswer(
+    storage::Database* db, const FuzzQuery& query,
+    const std::function<bool(storage::DocId)>& in_scope) {
+  const std::vector<PathStep>& steps = query.steps;
+  const PathStep& target = steps.back();
+  std::set<storage::NodeId> anchors;
+  if (steps.size() > 1) {
+    anchors = ReferenceBindings(db, steps, steps.size() - 1, in_scope);
+  } else {
+    for (const storage::DocumentInfo& info : db->documents()) {
+      if (in_scope(info.doc_id)) anchors.insert(info.root);
+    }
+  }
+  ExpectedAnswer answer;
+  answer.anchors = anchors.size();
+  if (anchors.empty()) return answer;
+  if (!query.scored) {
+    for (const storage::NodeId node :
+         ReferenceBindings(db, steps, steps.size(), in_scope)) {
+      answer.results.emplace_back(node, 0.0);
+    }
+    return answer;
+  }
+  // The target step's own name and predicates, matched anywhere.
+  const std::set<storage::NodeId> target_ok =
+      ReferenceBindings(db, {target}, 1, in_scope);
+  const algebra::IrPredicate predicate =
+      algebra::IrPredicate::FooStyle({"alpha"}, {"beta", "gamma"});
+  const algebra::WeightedCountScorer scorer(predicate.Weights());
+  for (const algebra::ScoredNodeResult& scored :
+       Unwrap(algebra::ReferenceScoreAllElements(db, predicate, scorer))) {
+    const storage::NodeId node = scored.node;
+    if (target_ok.count(node) == 0) continue;
+    const storage::NodeRecord element = Unwrap(db->GetNode(node));
+    const bool kept = std::any_of(
+        anchors.begin(), anchors.end(), [&](storage::NodeId anchor) {
+          if (!target.descendant) return element.parent == anchor;
+          const storage::NodeRecord record = Unwrap(db->GetNode(anchor));
+          return target.name == "*" ? record.ContainsOrSelf(element)
+                                    : record.Contains(element);
+        });
+    if (kept) answer.results.emplace_back(node, scored.score);
+  }
+  // Threshold order: score descending, ties in document (node id) order.
+  std::stable_sort(
+      answer.results.begin(), answer.results.end(),
+      [](const auto& a, const auto& b) { return a.second > b.second; });
+  if (query.top_k.has_value() && answer.results.size() > *query.top_k) {
+    answer.results.resize(*query.top_k);
+  }
+  return answer;
+}
+
+TEST(EngineReferenceFuzz, SeededPathsMatchTheReferenceEvaluator) {
+  size_t compared = 0;
+  size_t nonempty = 0;
+  for (const uint32_t seed : {3u, 17u, 29u, 71u, 113u}) {
+    TempDir dir;
+    auto db = MakeTestDatabase(dir.path());
+    std::mt19937 rng(seed);
+    const int num_docs = 3 + static_cast<int>(rng() % 3);
+    for (int d = 0; d < num_docs; ++d) {
+      std::string xml;
+      AppendRandomElement(&rng, 0, &xml);
+      Unwrap(db->AddDocument(
+          Unwrap(xml::ParseXml(xml, "d" + std::to_string(d) + ".xml"))));
+    }
+    const index::InvertedIndex monolithic =
+        Unwrap(index::InvertedIndex::Build(db.get()));
+    // The snapshot engine serves the same documents from a segmented
+    // index with one document deleted.
+    index::SegmentedIndexOptions segment_options;
+    segment_options.seal_doc_count = 2;
+    std::filesystem::create_directories(dir.path() + "/seg");
+    auto segmented = Unwrap(
+        index::SegmentedIndex::Open(dir.path() + "/seg", segment_options));
+    for (int d = 0; d < num_docs; ++d) {
+      ExpectOk(segmented->Ingest(db.get(), static_cast<storage::DocId>(d)));
+    }
+    const storage::DocId deleted = static_cast<storage::DocId>(seed % num_docs);
+    ExpectOk(segmented->Delete(deleted));
+    const std::shared_ptr<const index::IndexSnapshot> snapshot =
+        segmented->Acquire();
+
+    for (int q = 0; q < 40; ++q) {
+      storage::DocId doc = static_cast<storage::DocId>(rng() % num_docs);
+      const bool all = rng() % 4 == 0;
+      const FuzzQuery query = RandomQuery(
+          &rng, all ? "*" : "d" + std::to_string(doc) + ".xml");
+      for (const bool use_snapshot : {false, true}) {
+        if (use_snapshot && !all && doc == deleted) continue;
+        const ExpectedAnswer expected = ReferenceAnswer(
+            db.get(), query, [&](storage::DocId d) {
+              if (!all) return d == doc;
+              return !use_snapshot || snapshot->IsLiveDocument(d);
+            });
+        nonempty += expected.results.empty() ? 0 : 1;
+        for (const bool pushdown : {true, false}) {
+          EngineOptions options;
+          options.threshold_pushdown = pushdown;
+          auto engine = use_snapshot
+                            ? std::make_unique<QueryEngine>(db.get(), snapshot,
+                                                            options)
+                            : std::make_unique<QueryEngine>(
+                                  db.get(), &monolithic, options);
+          const QueryOutput output = Unwrap(engine->ExecuteText(query.text));
+          const std::string where =
+              "seed " + std::to_string(seed) + ": " + query.text +
+              (use_snapshot ? " [snapshot]" : " [monolithic]") +
+              (pushdown ? " [pushdown]" : "");
+          EXPECT_EQ(output.stats.anchors, expected.anchors) << where;
+          ASSERT_EQ(output.results.size(), expected.results.size()) << where;
+          for (size_t i = 0; i < expected.results.size(); ++i) {
+            EXPECT_EQ(output.results[i].node, expected.results[i].first)
+                << where << " @" << i;
+            EXPECT_EQ(output.results[i].score, expected.results[i].second)
+                << where << " @" << i;
+          }
+          ++compared;
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 600u);
+  EXPECT_GT(nonempty, 100u);  // the fuzz must exercise real matches
 }
 
 }  // namespace

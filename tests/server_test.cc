@@ -28,6 +28,7 @@
 #include "server/server.h"
 #include "tests/test_util.h"
 #include "workload/corpus.h"
+#include "xml/parser.h"
 
 namespace tix::server {
 namespace {
@@ -539,6 +540,40 @@ TEST_F(ServerTest, QueryTimeoutFires) {
   EXPECT_EQ(server->Stats().queries_timeout, 1u);
   // The session is still healthy after a timeout.
   ExpectOk(client.Ping());
+}
+
+TEST(DeepNestingServerTest, ManyStepQueriesAnswerWithinTimeout) {
+  // 40 nested <a> elements around one text node (41 nodes): every
+  // `//a` step can bind at every depth, so an 8-step path has C(40, 8)
+  // (about 77 million) embeddings while the answer is 33 rows.
+  TempDir dir;
+  auto db = MakeTestDatabase(dir.path());
+  std::string xml;
+  for (int i = 0; i < 40; ++i) xml += "<a>";
+  xml += "deep";
+  for (int i = 0; i < 40; ++i) xml += "</a>";
+  Unwrap(db->AddDocument(Unwrap(xml::ParseXml(xml, "deep.xml"))));
+  const index::InvertedIndex index =
+      Unwrap(index::InvertedIndex::Build(db.get()));
+  ServerOptions options;
+  options.query_timeout_ms = 2000;
+  options.result_cache_bytes = 0;
+  TixServer server(db.get(), &index, options);
+  ExpectOk(server.Start());
+  Client client = Unwrap(Client::Connect("127.0.0.1", server.port()));
+  for (const auto& [steps, rows] : {std::pair{6, 35}, std::pair{8, 33}}) {
+    std::string text = R"(FOR $a IN document("deep.xml"))";
+    for (int i = 0; i < steps; ++i) text += "//a";
+    text += " RETURN $a";
+    const auto started = std::chrono::steady_clock::now();
+    const std::string response = Unwrap(client.Query(text));
+    EXPECT_LT(std::chrono::steady_clock::now() - started,
+              std::chrono::milliseconds(500))
+        << steps << " steps";
+    EXPECT_EQ(response.rfind(std::to_string(rows) + " results", 0), 0u)
+        << response.substr(0, 80);
+  }
+  EXPECT_EQ(server.Stats().queries_timeout, 0u);
 }
 
 TEST_F(ServerTest, SessionLimitRejectsExtraConnections) {
