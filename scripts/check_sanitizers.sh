@@ -29,14 +29,17 @@
 # drives the engine's step matcher: node-range cuts, binary searches
 # over the tag index and the anchors, and subtree scans bounded by the
 # interval columns, through the seeded engine-vs-reference fuzz and the
-# deep-nesting regression.
+# deep-nesting regression. exec_test runs every access method against
+# the reference evaluator, including the Enhanced TermJoin the engine
+# always uses: its parent/child-count/interval column reads index raw
+# arrays by node id, so ASan sees any read past a column.
 #
 #   scripts/check_sanitizers.sh [extra ctest args...]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-TARGETS=(parallel_exec_test topk_pushdown_test obs_test storage_test fault_test codec_test block_index_test mmap_index_test query_test thread_pool_test server_test segment_test shard_test)
-FILTER="parallel_exec_test|topk_pushdown_test|obs_test|storage_test|fault_test|codec_test|block_index_test|mmap_index_test|query_test|thread_pool_test|server_test|segment_test|shard_test"
+TARGETS=(exec_test parallel_exec_test topk_pushdown_test obs_test storage_test fault_test codec_test block_index_test mmap_index_test query_test thread_pool_test server_test segment_test shard_test)
+FILTER="exec_test|parallel_exec_test|topk_pushdown_test|obs_test|storage_test|fault_test|codec_test|block_index_test|mmap_index_test|query_test|thread_pool_test|server_test|segment_test|shard_test"
 
 run_preset() {
   local dir="$1" sanitize="$2"

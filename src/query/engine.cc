@@ -1,6 +1,7 @@
 #include "query/engine.h"
 
 #include <algorithm>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -176,6 +177,18 @@ class StepMatcher {
   const Deadline& deadline_;
 };
 
+/// The run of `sorted` (document order) in `anchor`'s subtree, or-self:
+/// elements of its document starting in [anchor.start, anchor.end).
+std::span<const exec::ScoredElement> SubtreeRun(
+    const Elements& sorted, const exec::ScoredElement& anchor) {
+  const auto key = [](const exec::ScoredElement& e) {
+    return std::pair(e.doc, e.start);
+  };
+  return {std::ranges::lower_bound(sorted, key(anchor), {}, key),
+          std::ranges::lower_bound(sorted, std::pair(anchor.doc, anchor.end),
+                                   {}, key)};
+}
+
 /// Copies a join's merged and per-partition statistics onto its EXPLAIN
 /// span (no-op when the span is disabled). Works for any join exposing
 /// the ParallelTermJoin interface — SegmentedTermJoin mirrors it.
@@ -198,33 +211,25 @@ void AttachTermJoinStats(obs::OperatorSpan* span, const Join& join) {
       join.partition_stats();
   for (size_t i = 0;
        i < partition_stats.size() && i < partitions.size(); ++i) {
+    const exec::TermJoinStats& part = partition_stats[i];
     obs::OperatorMetrics child;
     child.name = "TermJoin";
     child.detail = StrFormat("partition %zu: docs [%u, %u)", i,
                              partitions[i].begin, partitions[i].end);
-    child.rows = partition_stats[i].outputs;
-    child.SetCounter(obs::CounterName(obs::Counter::kRecordFetches),
-                     partition_stats[i].record_fetches);
-    child.SetCounter("occurrences", partition_stats[i].occurrences);
-    child.SetCounter("stack_pushes", partition_stats[i].stack_pushes);
-    if (partition_stats[i].docs_pruned > 0) {
-      child.SetCounter("topk_docs_pruned", partition_stats[i].docs_pruned);
+    child.rows = part.outputs;
+    child.SetCounter("occurrences", part.occurrences);
+    child.SetCounter("stack_pushes", part.stack_pushes);
+    if (part.docs_pruned > 0) {
+      child.SetCounter("topk_docs_pruned", part.docs_pruned);
     }
-    if (partition_stats[i].blocks_skipped > 0) {
-      child.SetCounter(obs::CounterName(obs::Counter::kTopkBlocksSkipped),
-                       partition_stats[i].blocks_skipped);
-    }
-    if (partition_stats[i].postings_pruned > 0) {
-      child.SetCounter(obs::CounterName(obs::Counter::kTopkPostingsPruned),
-                       partition_stats[i].postings_pruned);
-    }
-    if (partition_stats[i].blocks_decoded > 0) {
-      child.SetCounter(obs::CounterName(obs::Counter::kIndexBlocksDecoded),
-                       partition_stats[i].blocks_decoded);
-    }
-    if (partition_stats[i].block_cache_hits > 0) {
-      child.SetCounter(obs::CounterName(obs::Counter::kIndexBlockCacheHits),
-                       partition_stats[i].block_cache_hits);
+    for (const auto& [counter, value] :
+         {std::pair(obs::Counter::kRecordFetches, part.record_fetches),
+          std::pair(obs::Counter::kTopkBlocksSkipped, part.blocks_skipped),
+          std::pair(obs::Counter::kTopkPostingsPruned, part.postings_pruned),
+          std::pair(obs::Counter::kIndexBlocksDecoded, part.blocks_decoded),
+          std::pair(obs::Counter::kIndexBlockCacheHits,
+                    part.block_cache_hits)}) {
+      if (value > 0) child.SetCounter(obs::CounterName(counter), value);
     }
     node->AddChild(std::move(child));
   }
@@ -257,17 +262,17 @@ Result<std::vector<exec::ScoredElement>> QueryEngine::RunScoringJoin(
     const algebra::IrPredicate& predicate, const algebra::Scorer& scorer,
     exec::DocRange range, const algebra::ThresholdSpec* pushdown,
     obs::OperatorMetrics* plan) {
-  std::string detail = options_.enhanced_term_join ? "enhanced" : "plain";
-  if (options_.num_threads > 0) {
-    detail += StrFormat(", threads=%zu", options_.num_threads);
-  }
+  std::string detail =
+      options_.num_threads > 0 ? StrFormat("threads=%zu", options_.num_threads)
+                               : "";
   exec::ParallelTermJoinOptions join_options;
-  join_options.join.enhanced = options_.enhanced_term_join;
+  join_options.join.enhanced = true;  // resident columns, no record fetches
   join_options.join.deadline = &options_.deadline;
   join_options.join.range = range;
   join_options.num_threads = options_.num_threads;
   if (pushdown != nullptr) {
-    detail += StrFormat(", topk-pushdown(k=%zu)", *pushdown->top_k);
+    detail += StrFormat("%stopk-pushdown(k=%zu)", detail.empty() ? "" : ", ",
+                        *pushdown->top_k);
     join_options.join.threshold = *pushdown;
     // Cross-process floor sharing (a shard session sets these).
     join_options.join.shared_floor = options_.shared_topk_floor;
@@ -478,37 +483,32 @@ Result<QueryOutput> QueryEngine::ExecuteSelect(const Query& query,
       // Sec. 5.3: derive the relevance threshold from the score
       // distribution of this query's components; the first PICK
       // parameter is the top fraction, not an absolute score.
-      std::vector<double> scores;
-      scores.reserve(scored.size());
-      for (const exec::ScoredElement& element : scored) {
-        scores.push_back(element.score);
-      }
-      const algebra::ScoreHistogram histogram(scores);
+      std::vector<double> scores(scored.size());
+      std::ranges::transform(scored, scores.begin(),
+                             &exec::ScoredElement::score);
       criterion = std::make_unique<algebra::QuantilePickCriterion>(
-          histogram, query.pick->threshold, query.pick->fraction);
+          algebra::ScoreHistogram(scores), query.pick->threshold,
+          query.pick->fraction);
     } else {
       criterion = std::make_unique<algebra::PickFooCriterion>(
           query.pick->threshold, query.pick->fraction);
     }
 
+    // `scored` is in document order: an anchor's own entry and its
+    // descendants are one run of it (nested anchors' runs overlap).
     std::unordered_set<storage::NodeId> picked_set;
+    std::vector<exec::PickEntry> entries;
+    std::vector<const exec::ScoredElement*> stack;
     for (const exec::ScoredElement& anchor : anchors) {
-      // Collect scored elements within this anchor (or-self) in
-      // document order and flatten to a pre-order level stream.
-      std::vector<exec::PickEntry> entries;
-      std::vector<const exec::ScoredElement*> stack;
+      const auto run = SubtreeRun(scored, anchor);
       // Root entry: the anchor itself (score 0 unless scored).
-      exec::ScoredElement anchor_entry = anchor;
-      for (const exec::ScoredElement& element : scored) {
-        if (element.node == anchor.node) anchor_entry = element;
-      }
-      entries.push_back(exec::PickEntry{anchor_entry.node, 0,
-                                        anchor_entry.score});
-      stack.push_back(&anchor_entry);
-      for (const exec::ScoredElement& element : scored) {
-        if (element.node == anchor.node) continue;
-        if (!(element.doc == anchor.doc && element.start > anchor.start &&
-              element.end < anchor.end)) {
+      const exec::ScoredElement& root =
+          !run.empty() && run.front().node == anchor.node ? run.front()
+                                                          : anchor;
+      entries.assign(1, exec::PickEntry{root.node, 0, root.score});
+      stack.assign(1, &root);
+      for (const exec::ScoredElement& element : run) {
+        if (!(element.start > anchor.start && element.end < anchor.end)) {
           continue;
         }
         while (!(element.start > stack.back()->start &&
@@ -525,13 +525,9 @@ Result<QueryOutput> QueryEngine::ExecuteSelect(const Query& query,
                            pick.Run(entries));
       picked_set.insert(picked.begin(), picked.end());
     }
-    std::vector<exec::ScoredElement> filtered;
-    for (exec::ScoredElement& element : scored) {
-      if (picked_set.count(element.node) > 0) {
-        filtered.push_back(std::move(element));
-      }
-    }
-    scored = std::move(filtered);
+    std::erase_if(scored, [&](const exec::ScoredElement& element) {
+      return picked_set.count(element.node) == 0;
+    });
     output.stats.picked = scored.size();
     span.set_rows(scored.size());
   }
@@ -638,20 +634,20 @@ Result<QueryOutput> QueryEngine::ExecuteJoin(const Query& query,
         query.score->primary, query.score->desirable);
     TIX_ASSIGN_OR_RETURN(const std::unique_ptr<algebra::Scorer> scorer,
                          MakeScorerForClause(*query.score, predicate));
+    // Only the left path's document holds left anchors.
+    const storage::DocId left_doc = db_->DocFromIndex(left_anchors.front());
     TIX_ASSIGN_OR_RETURN(
-        const std::vector<exec::ScoredElement> scored,
-        RunScoringJoin(predicate, *scorer, exec::DocRange{}, nullptr, plan));
+        std::vector<exec::ScoredElement> scored,
+        RunScoringJoin(predicate, *scorer,
+                       exec::DocRange{left_doc, left_doc + 1}, nullptr, plan));
+    std::sort(scored.begin(), scored.end(), exec::DocumentOrderLess);
     output.stats.scored_elements = scored.size();
     for (const storage::NodeId anchor : left_anchors) {
       const exec::ScoredElement bound = exec::ResidentElement(*db_, anchor);
-      double best = 0.0;
-      for (const exec::ScoredElement& element : scored) {
-        if (element.doc == bound.doc && element.start >= bound.start &&
-            element.end <= bound.end) {
-          best = std::max(best, element.score);
-        }
+      double& best = ir_score[anchor];  // 0 when nothing in it scored
+      for (const exec::ScoredElement& element : SubtreeRun(scored, bound)) {
+        if (element.end <= bound.end) best = std::max(best, element.score);
       }
-      ir_score[anchor] = best;
     }
   }
 

@@ -22,9 +22,10 @@
 /// Query engine: compiles a parsed TIX query into the physical pipeline
 /// of Sec. 5 — one structural matcher (path steps as document-scoped
 /// semi-joins on the resident node columns) for the boolean part,
-/// TermJoin over the queried documents for score generation, the
-/// stack-based Pick for granularity selection, and the Threshold
-/// operator for final filtering — and runs it.
+/// Enhanced TermJoin (ancestors and child counts from the same columns,
+/// no record fetches) for score generation, the stack-based Pick over
+/// each anchor's run of the scored elements, and the Threshold operator
+/// for final filtering — and runs it.
 
 namespace tix::query {
 
@@ -65,9 +66,9 @@ struct QueryOutput {
   std::optional<obs::OperatorMetrics> plan;
 };
 
+/// Execution knobs; none changes an answer (scoring always runs the
+/// Enhanced TermJoin).
 struct EngineOptions {
-  /// Use the Enhanced TermJoin (parent/child-count index).
-  bool enhanced_term_join = false;
   /// Worker threads for score generation (doc-partitioned parallel
   /// TermJoin). 0 = serial, preserving the single-threaded behavior.
   size_t num_threads = 0;
@@ -76,14 +77,14 @@ struct EngineOptions {
   /// identical either way; only the plan tree (and its small timing
   /// overhead) is gated.
   bool collect_metrics = false;
-  /// Push an eligible top-K threshold into TermJoin (block-max bounds +
-  /// early termination). The engine falls back to the materialize-then-
-  /// threshold pipeline whenever pushdown could change results: complex
-  /// or non-monotone scorers, min_score without top_k, Pick between
-  /// TermJoin and Threshold, multi-step paths, named targets or target
-  /// predicates (whose Scope filters elements after scoring). Results
-  /// are identical either way; only work saved differs. Disable to force
-  /// the post-pass (the CLI's --no-pushdown, equivalence tests, benches).
+  /// Push an eligible top-K threshold into the Enhanced TermJoin (block-
+  /// max bounds + early termination), falling back to materialize-then-
+  /// threshold whenever pushdown could change results: complex or non-
+  /// monotone scorers, min_score without top_k, Pick between TermJoin
+  /// and Threshold, multi-step paths, named targets or target predicates
+  /// (whose Scope filters elements after scoring). Results are identical
+  /// either way; only work saved differs. Disable to force the post-pass
+  /// (the CLI's --no-pushdown, equivalence tests, benches).
   bool threshold_pushdown = true;
   /// Capacity of the process-wide decoded-posting-block cache (the CLI's
   /// --block-cache-mb). 0 disables caching: every block access on a
@@ -161,7 +162,7 @@ class QueryEngine {
   /// first-match rule over a database of the same live docs); deleted or
   /// not-yet-ingested documents are NotFound.
   Result<storage::DocumentInfo> ResolveDocument(const std::string& name) const;
-  /// Runs the scoring join over `range` — ParallelTermJoin, or
+  /// Runs the Enhanced scoring join over `range` — ParallelTermJoin, or
   /// SegmentedTermJoin in snapshot mode — under a TermJoin span of
   /// `plan`, pushing the `pushdown` top-K into it when set.
   Result<std::vector<exec::ScoredElement>> RunScoringJoin(

@@ -114,6 +114,7 @@ TEST_F(PaperExampleExec, EnhancedTermJoinSameOutputFewerFetches) {
   const auto enhanced_out = Normalized(Unwrap(enhanced.Run()));
   ExpectSameElements(enhanced_out, plain_out, "enhanced-vs-plain");
   EXPECT_LT(enhanced.stats().record_fetches, plain.stats().record_fetches);
+  EXPECT_EQ(enhanced.stats().record_fetches, 0u);
 }
 
 TEST_F(PaperExampleExec, LengthNormalizedScorerAgreesAcrossMethods) {

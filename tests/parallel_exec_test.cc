@@ -128,6 +128,13 @@ void CheckAllPartitionCounts(Corpus& corpus,
                   serial_options);
   const std::vector<ScoredElement> expected = Unwrap(serial.Run());
   const TermJoinStats& expected_stats = serial.stats();
+  if (enhanced) {
+    // The enhanced merge emits exactly the plain merge's elements and
+    // scores, without a record fetch.
+    TermJoin plain(corpus.db.get(), corpus.index.get(), &predicate, &scorer);
+    ExpectIdentical(expected, Unwrap(plain.Run()), label + "/plain");
+    EXPECT_EQ(expected_stats.record_fetches, 0u) << label;
+  }
 
   for (const size_t partitions : {1u, 2u, 4u, 8u}) {
     for (const size_t threads : {0u, 4u}) {

@@ -8,8 +8,11 @@
 #include <gtest/gtest.h>
 
 #include "algebra/pattern_tree.h"
+#include "algebra/pick.h"
 #include "algebra/reference_eval.h"
 #include "common/timer.h"
+#include "exec/pick_operator.h"
+#include "exec/structural_join.h"
 #include "index/segmented_index.h"
 #include "query/engine.h"
 #include "query/lexer.h"
@@ -289,19 +292,6 @@ TEST_F(EngineTest, RenderXmlEmitsResults) {
   EXPECT_NE(xml.find("<result>"), std::string::npos);
   EXPECT_NE(xml.find("<score>"), std::string::npos);
   EXPECT_NE(xml.find("<p>"), std::string::npos);
-}
-
-TEST_F(EngineTest, EnhancedEngineAgreesWithPlain) {
-  EngineOptions options;
-  options.enhanced_term_join = true;
-  QueryEngine enhanced(db_.get(), index_.get(), options);
-  const QueryOutput a = Unwrap(engine_->ExecuteText(kQuery2Text));
-  const QueryOutput b = Unwrap(enhanced.ExecuteText(kQuery2Text));
-  ASSERT_EQ(a.results.size(), b.results.size());
-  for (size_t i = 0; i < a.results.size(); ++i) {
-    EXPECT_EQ(a.results[i].node, b.results[i].node);
-    EXPECT_NEAR(a.results[i].score, b.results[i].score, 1e-9);
-  }
 }
 
 // ---------------------------------------------------------- join queries
@@ -650,14 +640,33 @@ std::set<storage::NodeId> ReferenceBindings(
   return out;
 }
 
-/// One random query: path, document, score and top-K choices.
+/// One random query: path, document, scorer, pick and top-K choices.
 struct FuzzQuery {
   std::string document;
   std::vector<PathStep> steps;
   bool scored = false;
+  std::string scorer = "foo";
+  std::optional<PickClause> pick;
   std::optional<size_t> top_k;
   std::string text;
 };
+
+/// Appends the SCORE clause (foo or complexfoo, chosen by `rng`).
+void AppendScore(std::mt19937* rng, FuzzQuery* query) {
+  query->scored = true;
+  query->scorer = (*rng)() % 3 == 0 ? "complexfoo" : "foo";
+  query->text += " SCORE $v USING " + query->scorer +
+                 R"(({"alpha"}, {"beta", "gamma"}))";
+}
+
+/// Appends an optional THRESHOLD STOP AFTER k, then RETURN.
+void AppendTopKAndReturn(std::mt19937* rng, FuzzQuery* query) {
+  if ((*rng)() % 2 == 0) {
+    query->top_k = 1 + (*rng)() % 4;
+    query->text += " THRESHOLD STOP AFTER " + std::to_string(*query->top_k);
+  }
+  query->text += " RETURN $v";
+}
 
 FuzzQuery RandomQuery(std::mt19937* rng, const std::string& document) {
   static const char* const kNames[] = {"a", "b", "c", "*"};
@@ -681,21 +690,115 @@ FuzzQuery RandomQuery(std::mt19937* rng, const std::string& document) {
     }
     query.steps.push_back(std::move(step));
   }
-  query.scored = (*rng)() % 2 == 0;
-  if (query.scored) {
-    query.text += R"( SCORE $v USING foo({"alpha"}, {"beta", "gamma"}))";
-    if ((*rng)() % 2 == 0) {
-      query.top_k = 1 + (*rng)() % 4;
-      query.text += " THRESHOLD STOP AFTER " + std::to_string(*query.top_k);
-    }
+  if ((*rng)() % 2 == 0) {
+    AppendScore(rng, &query);
+    AppendTopKAndReturn(rng, &query);
+  } else {
+    query.text += " RETURN $v";
   }
-  query.text += " RETURN $v";
   return query;
+}
+
+/// One random PICK query: `//x//*` or `//x//y` over tags that nest inside
+/// themselves, so anchors nest and their runs overlap. A named target
+/// leaves the anchors themselves out of the scored elements.
+FuzzQuery RandomPickQuery(std::mt19937* rng, const std::string& document) {
+  static const char* const kTags[] = {"a", "b", "c"};
+  static const char* const kCriteria[] = {"pickfoo", "parity",
+                                          "topfraction"};
+  // Absolute relevance thresholds (pickfoo, parity) or top fractions
+  // (topfraction), and qualification fractions.
+  static const char* const kThresholds[] = {"0.5", "1", "2"};
+  static const char* const kFractions[] = {"0.2", "0.5", "0.8"};
+  static const char* const kQualifications[] = {"0", "0.3", "0.5"};
+  FuzzQuery query;
+  query.document = document;
+  query.text = "FOR $v IN document(\"" + document + "\")";
+  const std::string anchor = kTags[(*rng)() % 3];
+  const std::string target = (*rng)() % 3 == 0 ? kTags[(*rng)() % 3] : "*";
+  for (const std::string& name : {anchor, target}) {
+    PathStep step;
+    step.descendant = true;
+    step.name = name;
+    query.text += "//" + name;
+    query.steps.push_back(std::move(step));
+  }
+  AppendScore(rng, &query);
+  PickClause pick;
+  pick.criterion = kCriteria[(*rng)() % 3];
+  const std::string threshold = pick.criterion == "topfraction"
+                                    ? kFractions[(*rng)() % 3]
+                                    : kThresholds[(*rng)() % 3];
+  const std::string qualification = kQualifications[(*rng)() % 3];
+  pick.threshold = std::stod(threshold);
+  pick.fraction = std::stod(qualification);
+  query.text += " PICK $v USING " + pick.criterion + "(" + threshold + ", " +
+                qualification + ")";
+  query.pick = pick;
+  AppendTopKAndReturn(rng, &query);
+  return query;
+}
+
+/// Elements Pick keeps, grouped by brute force: per anchor, scans of
+/// every scored element (document order) collect the anchor's own entry
+/// and its strict descendants into one pre-order stream for
+/// exec::PickOperator. The engine finds the same stream by binary search.
+std::set<storage::NodeId> ReferencePicked(
+    const std::vector<exec::ScoredElement>& anchors,
+    const std::vector<exec::ScoredElement>& scored, const PickClause& pick) {
+  std::unique_ptr<algebra::PickCriterion> criterion;
+  if (pick.criterion == "parity") {
+    criterion = std::make_unique<algebra::LevelParityPickCriterion>(
+        pick.threshold, pick.fraction);
+  } else if (pick.criterion == "topfraction") {
+    std::vector<double> scores;
+    for (const exec::ScoredElement& element : scored) {
+      scores.push_back(element.score);
+    }
+    criterion = std::make_unique<algebra::QuantilePickCriterion>(
+        algebra::ScoreHistogram(scores), pick.threshold, pick.fraction);
+  } else {
+    criterion = std::make_unique<algebra::PickFooCriterion>(pick.threshold,
+                                                            pick.fraction);
+  }
+  std::set<storage::NodeId> picked_set;
+  for (const exec::ScoredElement& anchor : anchors) {
+    std::vector<exec::PickEntry> entries;
+    std::vector<const exec::ScoredElement*> stack;
+    exec::ScoredElement anchor_entry = anchor;
+    for (const exec::ScoredElement& element : scored) {
+      if (element.node == anchor.node) anchor_entry = element;
+    }
+    entries.push_back(
+        exec::PickEntry{anchor_entry.node, 0, anchor_entry.score});
+    stack.push_back(&anchor_entry);
+    for (const exec::ScoredElement& element : scored) {
+      if (element.node == anchor.node) continue;
+      if (!(element.doc == anchor.doc && element.start > anchor.start &&
+            element.end < anchor.end)) {
+        continue;
+      }
+      while (!(element.start > stack.back()->start &&
+               element.end < stack.back()->end)) {
+        stack.pop_back();
+      }
+      entries.push_back(exec::PickEntry{
+          element.node, static_cast<uint16_t>(stack.size()), element.score});
+      stack.push_back(&element);
+    }
+    exec::PickOperator pick_operator(criterion.get());
+    const std::vector<storage::NodeId> picked =
+        Unwrap(pick_operator.Run(entries));
+    picked_set.insert(picked.begin(), picked.end());
+  }
+  return picked_set;
 }
 
 /// What the engine must answer, from the reference evaluator alone.
 struct ExpectedAnswer {
   uint64_t anchors = 0;
+  /// Scored elements Pick dropped (0 without PICK).
+  size_t pick_dropped = 0;
   std::vector<std::pair<storage::NodeId, double>> results;
 };
 
@@ -727,9 +830,16 @@ ExpectedAnswer ReferenceAnswer(
       ReferenceBindings(db, {target}, 1, in_scope);
   const algebra::IrPredicate predicate =
       algebra::IrPredicate::FooStyle({"alpha"}, {"beta", "gamma"});
-  const algebra::WeightedCountScorer scorer(predicate.Weights());
+  std::unique_ptr<algebra::Scorer> scorer;
+  if (query.scorer == "complexfoo") {
+    scorer = std::make_unique<algebra::ComplexProximityScorer>(
+        predicate.Weights());
+  } else {
+    scorer = std::make_unique<algebra::WeightedCountScorer>(
+        predicate.Weights());
+  }
   for (const algebra::ScoredNodeResult& scored :
-       Unwrap(algebra::ReferenceScoreAllElements(db, predicate, scorer))) {
+       Unwrap(algebra::ReferenceScoreAllElements(db, predicate, *scorer))) {
     const storage::NodeId node = scored.node;
     if (target_ok.count(node) == 0) continue;
     const storage::NodeRecord element = Unwrap(db->GetNode(node));
@@ -741,6 +851,23 @@ ExpectedAnswer ReferenceAnswer(
                                     : record.Contains(element);
         });
     if (kept) answer.results.emplace_back(node, scored.score);
+  }
+  if (query.pick.has_value() && !answer.results.empty()) {
+    // Both lists in document (node id) order, as the engine holds them.
+    std::vector<exec::ScoredElement> anchor_elements;
+    for (const storage::NodeId anchor : anchors) {
+      anchor_elements.push_back(exec::ResidentElement(*db, anchor));
+    }
+    std::vector<exec::ScoredElement> scored;
+    for (const auto& [node, score] : answer.results) {
+      scored.push_back(exec::ResidentElement(*db, node));
+      scored.back().score = score;
+    }
+    const std::set<storage::NodeId> picked =
+        ReferencePicked(anchor_elements, scored, *query.pick);
+    answer.pick_dropped = std::erase_if(
+        answer.results,
+        [&](const auto& result) { return !picked.count(result.first); });
   }
   // Threshold order: score descending, ties in document (node id) order.
   std::stable_sort(
@@ -755,12 +882,24 @@ ExpectedAnswer ReferenceAnswer(
 TEST(EngineReferenceFuzz, SeededPathsMatchTheReferenceEvaluator) {
   size_t compared = 0;
   size_t nonempty = 0;
+  size_t picked_compared = 0;
+  size_t picks_partial = 0;
   for (const uint32_t seed : {3u, 17u, 29u, 71u, 113u}) {
     TempDir dir;
     auto db = MakeTestDatabase(dir.path());
     std::mt19937 rng(seed);
     const int num_docs = 3 + static_cast<int>(rng() % 3);
     for (int d = 0; d < num_docs; ++d) {
+      if (d == num_docs / 2) {
+        // Reopen halfway: the first documents' resident columns are
+        // rebuilt by the open-time scan, the rest are appended by
+        // AddDocument, and Enhanced TermJoin reads both.
+        ExpectOk(db->Save());
+        db.reset();
+        storage::DatabaseOptions options;
+        options.buffer_pool_pages = 64;
+        db = Unwrap(storage::Database::Open(dir.path(), options));
+      }
       std::string xml;
       AppendRandomElement(&rng, 0, &xml);
       Unwrap(db->AddDocument(
@@ -783,11 +922,9 @@ TEST(EngineReferenceFuzz, SeededPathsMatchTheReferenceEvaluator) {
     const std::shared_ptr<const index::IndexSnapshot> snapshot =
         segmented->Acquire();
 
-    for (int q = 0; q < 40; ++q) {
-      storage::DocId doc = static_cast<storage::DocId>(rng() % num_docs);
-      const bool all = rng() % 4 == 0;
-      const FuzzQuery query = RandomQuery(
-          &rng, all ? "*" : "d" + std::to_string(doc) + ".xml");
+    // Runs `query` on both engines, with and without pushdown, against
+    // the reference answer for its scope.
+    auto check = [&](const FuzzQuery& query, storage::DocId doc, bool all) {
       for (const bool use_snapshot : {false, true}) {
         if (use_snapshot && !all && doc == deleted) continue;
         const ExpectedAnswer expected = ReferenceAnswer(
@@ -796,6 +933,9 @@ TEST(EngineReferenceFuzz, SeededPathsMatchTheReferenceEvaluator) {
               return !use_snapshot || snapshot->IsLiveDocument(d);
             });
         nonempty += expected.results.empty() ? 0 : 1;
+        // Picks that both keep and drop elements.
+        picks_partial +=
+            !expected.results.empty() && expected.pick_dropped > 0 ? 1 : 0;
         for (const bool pushdown : {true, false}) {
           EngineOptions options;
           options.threshold_pushdown = pushdown;
@@ -818,12 +958,28 @@ TEST(EngineReferenceFuzz, SeededPathsMatchTheReferenceEvaluator) {
                 << where << " @" << i;
           }
           ++compared;
+          picked_compared += query.pick.has_value() ? 1 : 0;
         }
       }
+    };
+    for (int q = 0; q < 40; ++q) {
+      storage::DocId doc = static_cast<storage::DocId>(rng() % num_docs);
+      const bool all = rng() % 4 == 0;
+      check(RandomQuery(&rng, all ? "*" : "d" + std::to_string(doc) + ".xml"),
+            doc, all);
+    }
+    for (int q = 0; q < 16; ++q) {
+      storage::DocId doc = static_cast<storage::DocId>(rng() % num_docs);
+      const bool all = rng() % 3 == 0;
+      check(RandomPickQuery(&rng,
+                            all ? "*" : "d" + std::to_string(doc) + ".xml"),
+            doc, all);
     }
   }
-  EXPECT_GT(compared, 600u);
-  EXPECT_GT(nonempty, 100u);  // the fuzz must exercise real matches
+  EXPECT_GT(compared, 900u);
+  EXPECT_GT(nonempty, 150u);  // the fuzz must exercise real matches
+  EXPECT_GT(picked_compared, 250u);
+  EXPECT_GT(picks_partial, 50u);
 }
 
 }  // namespace
