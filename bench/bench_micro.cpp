@@ -16,7 +16,6 @@
 #include "common/varint.h"
 #include "exec/occurrence_stream.h"
 #include "exec/parallel_term_join.h"
-#include "exec/path_stack.h"
 #include "exec/pick_operator.h"
 #include "exec/structural_join.h"
 #include "exec/term_join.h"
@@ -169,17 +168,6 @@ void BM_TagScanStructuralJoin(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TagScanStructuralJoin);
-
-void BM_PathStackThreeSteps(benchmark::State& state) {
-  auto& fixture = PaperFixture();
-  for (auto _ : state) {
-    tix::exec::PathStackJoin join(
-        fixture.db.get(),
-        {{"article", false}, {"section", false}, {"p", false}});
-    benchmark::DoNotOptimize(join.Run());
-  }
-}
-BENCHMARK(BM_PathStackThreeSteps);
 
 // --------------------------------------------- parallel TermJoin (threads)
 

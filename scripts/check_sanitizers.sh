@@ -39,14 +39,14 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 TARGETS=(exec_test parallel_exec_test topk_pushdown_test obs_test storage_test fault_test codec_test block_index_test mmap_index_test query_test thread_pool_test server_test segment_test shard_test)
-FILTER="exec_test|parallel_exec_test|topk_pushdown_test|obs_test|storage_test|fault_test|codec_test|block_index_test|mmap_index_test|query_test|thread_pool_test|server_test|segment_test|shard_test"
+FILTER="$(IFS='|'; echo "${TARGETS[*]}")"
 
 run_preset() {
   local dir="$1" sanitize="$2"
   echo "== ${sanitize} (${dir}) =="
   cmake -B "${dir}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DTIX_SANITIZE="${sanitize}" > /dev/null
-  cmake --build "${dir}" -j --target "${TARGETS[@]}"
+  cmake --build "${dir}" -j "$(nproc)" --target "${TARGETS[@]}"
   (cd "${dir}" && ctest --output-on-failure -R "${FILTER}" "$@")
 }
 

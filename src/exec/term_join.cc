@@ -95,7 +95,7 @@ Status TermJoin::PopAndEmit() {
     topk_->Push(std::move(element));
     NoteFloor();
   } else {
-    pending_.push_back(std::move(element));
+    output_.push_back(std::move(element));
   }
   ++stats_.outputs;
   return Status::OK();
@@ -170,25 +170,6 @@ Status TermJoin::PushAncestors(storage::NodeId text_node) {
   return Status::OK();
 }
 
-Status TermJoin::Open() {
-  if (open_) return Status::Internal("TermJoin opened twice");
-  if (options_.deadline != nullptr && options_.deadline->Expired()) {
-    return Status::DeadlineExceeded("TermJoin: query deadline exceeded");
-  }
-  open_ = true;
-  input_done_ = false;
-  metrics_.set_parent(obs::CurrentMetrics());
-  const obs::ScopedMetrics scope(&metrics_);
-  streams_ = MakeOccurrenceStreams(*index_, *predicate_, options_.range);
-  if (pushdown_) {
-    topk_.emplace(*options_.threshold);
-    oracle_.emplace(*index_, *predicate_);
-    current_doc_bound_ = std::numeric_limits<double>::infinity();
-    last_floor_ = -std::numeric_limits<double>::infinity();
-  }
-  return Status::OK();
-}
-
 bool TermJoin::CannotBeat(double bound) const {
   const algebra::ThresholdSpec& spec = *options_.threshold;
   // The operator keeps only score > min_score, so a bound at or below
@@ -256,15 +237,11 @@ void TermJoin::SeekStreamsTo(storage::DocId doc) {
   }
 }
 
-Status TermJoin::Pump() {
-  // Every record fetch of the merge happens below (PushAncestors and
-  // the child-count navigation in PopAndEmit), so installing the
-  // join-local context here charges exactly this join's work.
-  const obs::ScopedMetrics scope(&metrics_);
+Status TermJoin::Merge() {
   const bool wants_poll =
       options_.deadline != nullptr ||
       (pushdown_ && options_.floor_poll != nullptr);
-  while (pending_.empty() && !input_done_) {
+  for (;;) {
     if (wants_poll && deadline_countdown_-- == 0) {
       deadline_countdown_ = kDeadlinePollStride;
       if (options_.deadline != nullptr && options_.deadline->Expired()) {
@@ -290,29 +267,7 @@ Status TermJoin::Pump() {
         min_occurrence = *head;
       }
     }
-    if (min_stream < 0) {
-      // Inputs exhausted: flush the stack.
-      input_done_ = true;
-      while (!stack_.empty()) {
-        TIX_RETURN_IF_ERROR(PopAndEmit());
-      }
-      if (pushdown_) {
-        // Release the surviving top-K, in Finish() order (descending
-        // score) — exactly what the post-pass Threshold would return.
-        for (ScoredElement& element : topk_->Finish()) {
-          pending_.push_back(std::move(element));
-        }
-      }
-      obs::Count(obs::Counter::kTermJoinOccurrences, stats_.occurrences);
-      stats_.record_fetches =
-          metrics_.value(obs::Counter::kRecordFetches);
-      stats_.index_lookups = metrics_.value(obs::Counter::kIndexLookups);
-      stats_.blocks_decoded =
-          metrics_.value(obs::Counter::kIndexBlocksDecoded);
-      stats_.block_cache_hits =
-          metrics_.value(obs::Counter::kIndexBlockCacheHits);
-      break;
-    }
+    if (min_stream < 0) break;  // inputs exhausted
 
     if (pushdown_ && (stack_.empty() ||
                       stack_.back().doc != min_occurrence.doc)) {
@@ -365,27 +320,46 @@ Status TermJoin::Pump() {
       }
     }
   }
+
+  // Flush the stack.
+  while (!stack_.empty()) {
+    TIX_RETURN_IF_ERROR(PopAndEmit());
+  }
+  if (pushdown_) {
+    // Release the surviving top-K, in Finish() order (descending score)
+    // — exactly what the post-pass Threshold would return.
+    output_ = topk_->Finish();
+  }
+  obs::Count(obs::Counter::kTermJoinOccurrences, stats_.occurrences);
+  stats_.record_fetches = metrics_.value(obs::Counter::kRecordFetches);
+  stats_.index_lookups = metrics_.value(obs::Counter::kIndexLookups);
+  stats_.blocks_decoded = metrics_.value(obs::Counter::kIndexBlocksDecoded);
+  stats_.block_cache_hits =
+      metrics_.value(obs::Counter::kIndexBlockCacheHits);
   return Status::OK();
 }
 
-Result<std::optional<ScoredElement>> TermJoin::Next() {
-  if (!open_) return Status::Internal("TermJoin::Next before Open");
-  TIX_RETURN_IF_ERROR(Pump());
-  if (pending_.empty()) return std::optional<ScoredElement>();
-  ScoredElement element = std::move(pending_.front());
-  pending_.pop_front();
-  return std::optional<ScoredElement>(std::move(element));
-}
-
 Result<std::vector<ScoredElement>> TermJoin::Run() {
-  TIX_RETURN_IF_ERROR(Open());
-  std::vector<ScoredElement> out;
-  for (;;) {
-    TIX_ASSIGN_OR_RETURN(std::optional<ScoredElement> element, Next());
-    if (!element.has_value()) break;
-    out.push_back(std::move(*element));
+  if (ran_) return Status::Internal("TermJoin run twice");
+  if (options_.deadline != nullptr && options_.deadline->Expired()) {
+    return Status::DeadlineExceeded("TermJoin: query deadline exceeded");
   }
-  return out;
+  ran_ = true;
+  // Every record fetch and index lookup of the join happens below
+  // (stream opening, PushAncestors and the child-count navigation in
+  // PopAndEmit), so the join-local context charges exactly this join's
+  // work.
+  metrics_.set_parent(obs::CurrentMetrics());
+  const obs::ScopedMetrics scope(&metrics_);
+  streams_ = MakeOccurrenceStreams(*index_, *predicate_, options_.range);
+  if (pushdown_) {
+    topk_.emplace(*options_.threshold);
+    oracle_.emplace(*index_, *predicate_);
+    current_doc_bound_ = std::numeric_limits<double>::infinity();
+    last_floor_ = -std::numeric_limits<double>::infinity();
+  }
+  TIX_RETURN_IF_ERROR(Merge());
+  return std::move(output_);
 }
 
 }  // namespace tix::exec

@@ -1,7 +1,6 @@
 #ifndef TIX_EXEC_TERM_JOIN_H_
 #define TIX_EXEC_TERM_JOIN_H_
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -105,15 +104,11 @@ class TermJoin {
            const algebra::IrPredicate* predicate,
            const algebra::Scorer* scorer, TermJoinOptions options = {});
 
-  /// Runs the merge to completion. Output is in pop (post-) order;
-  /// every element has `counts` filled per phrase and a final score.
+  /// Runs the merge to completion. Output is in pop (post-) order, or
+  /// in descending score order in pushdown mode; every element has
+  /// `counts` filled per phrase and a final score. A join runs once; a
+  /// second call fails with Internal.
   Result<std::vector<ScoredElement>> Run();
-
-  /// Pipelined interface: TermJoin is non-blocking — an element is
-  /// emitted the moment it pops, while the merge is still consuming
-  /// postings. `Next` returns nullopt at end of stream.
-  Status Open();
-  Result<std::optional<ScoredElement>> Next();
 
   const TermJoinStats& stats() const { return stats_; }
 
@@ -132,15 +127,14 @@ class TermJoin {
   };
 
   /// Pops the top entry, merges its state into the new top, scores it
-  /// and queues it for emission.
+  /// and appends it to output_ (or the top-K heap in pushdown mode).
   Status PopAndEmit();
 
   /// Pushes the ancestors of `text_node` that are not yet on the stack.
   Status PushAncestors(storage::NodeId text_node);
 
-  /// Advances the merge until at least one element is pending or the
-  /// input is exhausted.
-  Status Pump();
+  /// Merges the opened streams to exhaustion, filling output_.
+  Status Merge();
 
   // --- Top-K pushdown helpers (active only when pushdown_). -----------
   /// True when an element bounded by `bound` can no longer enter the
@@ -173,13 +167,12 @@ class TermJoin {
 
   std::vector<StackEntry> stack_;
   std::vector<std::unique_ptr<OccurrenceStream>> streams_;
-  std::deque<ScoredElement> pending_;
-  bool open_ = false;
-  bool input_done_ = false;
+  std::vector<ScoredElement> output_;
+  bool ran_ = false;
   /// Early-terminating top-K mode (see TermJoinOptions::threshold).
   bool pushdown_ = false;
   /// In pushdown mode, emitted elements go through this heap instead of
-  /// pending_; Finish() order (descending score) reaches pending_ only
+  /// output_; Finish() order (descending score) reaches output_ only
   /// when the input is exhausted.
   std::optional<ThresholdOperator> topk_;
   std::optional<ScoreBoundOracle> oracle_;
@@ -192,9 +185,8 @@ class TermJoin {
   uint32_t deadline_countdown_ = 0;
   /// Last floor value accounted in stats_.floor_updates.
   double last_floor_ = 0.0;
-  /// Charged for all storage/index work between Open and exhaustion.
-  /// Parented to the context current at Open so per-query totals still
-  /// roll up.
+  /// Charged for all storage/index work of Run. Parented to the context
+  /// current when Run starts so per-query totals still roll up.
   obs::MetricsContext metrics_;
   TermJoinStats stats_;
 };

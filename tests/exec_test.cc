@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <chrono>
 #include <map>
 #include <memory>
 
@@ -6,6 +7,7 @@
 
 #include "algebra/pick.h"
 #include "algebra/reference_eval.h"
+#include "common/deadline.h"
 #include "common/random.h"
 #include "exec/composite.h"
 #include "exec/gen_meet.h"
@@ -94,6 +96,33 @@ TEST_F(PaperExampleExec, TermJoinMatchesReferenceSimple) {
   ExpectSameResults(actual, expected, "simple");
   EXPECT_GT(join.stats().occurrences, 4u);
   EXPECT_EQ(join.stats().outputs, actual.size());
+}
+
+TEST_F(PaperExampleExec, TermJoinRunEmitsPostOrderOnce) {
+  TermJoin join(db_.get(), index_.get(), &predicate_, simple_.get());
+  const std::vector<ScoredElement> out = Unwrap(join.Run());
+  ASSERT_FALSE(out.empty());
+  // Pop order: an element comes after every element it contains.
+  for (size_t i = 0; i < out.size(); ++i) {
+    for (size_t j = i + 1; j < out.size(); ++j) {
+      EXPECT_FALSE(out[i].doc == out[j].doc && out[i].start < out[j].start &&
+                   out[j].end <= out[i].end)
+          << out[i].node << " before its descendant " << out[j].node;
+    }
+  }
+  // A join runs once; a second Run fails and leaves the stats alone.
+  EXPECT_EQ(join.Run().status().code(), StatusCode::kInternal);
+  EXPECT_EQ(join.stats().outputs, out.size());
+}
+
+TEST_F(PaperExampleExec, TermJoinHonoursAnExpiredDeadline) {
+  const Deadline expired =
+      Deadline::At(std::chrono::steady_clock::now() - std::chrono::seconds(1));
+  TermJoinOptions options;
+  options.deadline = &expired;
+  TermJoin join(db_.get(), index_.get(), &predicate_, simple_.get(), options);
+  EXPECT_TRUE(join.Run().status().IsDeadlineExceeded());
+  EXPECT_EQ(join.stats().occurrences, 0u);
 }
 
 TEST_F(PaperExampleExec, TermJoinMatchesReferenceComplex) {

@@ -19,6 +19,7 @@
 #include "query/parser.h"
 #include "query/similarity_join.h"
 #include "tests/test_util.h"
+#include "workload/corpus.h"
 #include "workload/paper_example.h"
 #include "xml/parser.h"
 
@@ -980,6 +981,83 @@ TEST(EngineReferenceFuzz, SeededPathsMatchTheReferenceEvaluator) {
   EXPECT_GT(nonempty, 150u);  // the fuzz must exercise real matches
   EXPECT_GT(picked_compared, 250u);
   EXPECT_GT(picks_partial, 50u);
+}
+
+// ----------------------------------------------- Path chains vs reference
+
+/// Runs the boolean query `document("*")` + `path` and expects exactly
+/// the reference evaluator's distinct bindings of the last step, in
+/// document order. In `path`, "//" starts a descendant step and "/" a
+/// child step. Returns how many bindings there are.
+size_t ExpectChainMatchesReference(storage::Database* db,
+                                   const std::string& path) {
+  std::vector<PathStep> steps;
+  for (size_t i = 0; i < path.size();) {
+    PathStep step;
+    step.descendant = path.compare(i, 2, "//") == 0;
+    i += step.descendant ? 2 : 1;
+    const size_t end = std::min(path.find('/', i), path.size());
+    step.name = path.substr(i, end - i);
+    steps.push_back(std::move(step));
+    i = end;
+  }
+  const index::InvertedIndex index = Unwrap(index::InvertedIndex::Build(db));
+  QueryEngine engine(db, &index);
+  const QueryOutput output = Unwrap(engine.ExecuteText(
+      R"(FOR $v IN document("*"))" + path + " RETURN $v"));
+  std::vector<storage::NodeId> nodes;
+  for (const QueryResultItem& item : output.results) {
+    nodes.push_back(item.node);
+  }
+  const std::set<storage::NodeId> expected = ReferenceBindings(
+      db, steps, steps.size(), [](storage::DocId) { return true; });
+  EXPECT_EQ(nodes, std::vector<storage::NodeId>(expected.begin(),
+                                                expected.end()))
+      << path;
+  return nodes.size();
+}
+
+TEST(PathChainTest, PaperExampleChains) {
+  TempDir dir;
+  auto db = MakeTestDatabase(dir.path());
+  ExpectOk(workload::LoadPaperExample(db.get()));
+  EXPECT_EQ(ExpectChainMatchesReference(db.get(), "//section"), 3u);
+  // Only the two chapter-level paragraphs are children of a chapter;
+  // every paragraph lies inside one.
+  EXPECT_EQ(ExpectChainMatchesReference(db.get(), "//chapter/p"), 2u);
+  EXPECT_EQ(ExpectChainMatchesReference(db.get(), "//chapter//p"), 7u);
+  // Only the third chapter's sections have paragraphs: 1 + 1 + 3.
+  EXPECT_EQ(ExpectChainMatchesReference(db.get(), "//article//section//p"),
+            5u);
+  EXPECT_GT(
+      ExpectChainMatchesReference(db.get(), "//article//*//section-title"),
+      0u);
+  EXPECT_EQ(ExpectChainMatchesReference(db.get(), "//nonexistent"), 0u);
+  EXPECT_EQ(ExpectChainMatchesReference(db.get(), "//review//section"), 0u);
+}
+
+// The generator's real tags (article/fm/au/snm, bdy/sec/p, st), which
+// the {a, b, c} fuzz documents never produce: 4-step chains, child
+// steps, and wildcard middle and last steps. `//article/sec` is empty
+// by construction (sections sit under bdy).
+TEST(PathChainTest, GeneratedCorpusChains) {
+  const std::vector<std::pair<uint64_t, std::string>> chains = {
+      {1, "//article//sec//p"},     {2, "//article/sec"},
+      {3, "//bdy//sec/p"},          {4, "//article//*//p"},
+      {5, "//article/fm//au/snm"},  {6, "//*//st"},
+      {7, "//sec/*"},               {8, "//article/bdy/sec/p"},
+  };
+  for (const auto& [seed, path] : chains) {
+    TempDir dir;
+    auto db = MakeTestDatabase(dir.path(), 256);
+    workload::CorpusOptions options;
+    options.seed = seed;
+    options.num_articles = 6;
+    Unwrap(workload::GenerateCorpus(db.get(), options));
+    EXPECT_EQ(ExpectChainMatchesReference(db.get(), path) > 0,
+              path != "//article/sec")
+        << "seed " << seed;
+  }
 }
 
 }  // namespace

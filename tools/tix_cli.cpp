@@ -10,7 +10,6 @@
 //   tix_cli query --db=DIR [--threads=N] [--no-pushdown]
 //                 [--block-cache-mb=N] [--explain | --stats-json]
 //                 "FOR $a IN ... RETURN $a"          run a query
-//   tix_cli path  --db=DIR "article//sec/p"          holistic path join
 //   tix_cli verify --db=DIR                          check every page + index
 //
 // --threads=N runs score generation (TermJoin) as N doc-partitioned
@@ -62,9 +61,7 @@
 
 #include "common/block_codec.h"
 #include "common/string_util.h"
-#include "common/timer.h"
 #include "flag_parse.h"
-#include "exec/path_stack.h"
 #include "index/block_cache.h"
 #include "index/inverted_index.h"
 #include "index/manifest.h"
@@ -162,7 +159,7 @@ tix::index::IndexLoadOptions LoadOptions(const Args& args) {
 int Usage() {
   std::fprintf(stderr,
                "usage: tix_cli <load|index|ingest|delete|compact|stats|terms|"
-               "query|path|verify> --db=DIR [args]\n");
+               "query|verify> --db=DIR [args]\n");
   return 2;
 }
 
@@ -503,62 +500,6 @@ int CmdQuery(const Args& args) {
   return 0;
 }
 
-int CmdPath(const Args& args) {
-  if (args.positional.empty()) {
-    std::fprintf(stderr, "path: no pattern (e.g. \"article//sec/p\")\n");
-    return 2;
-  }
-  // Parse "tag" steps separated by '//' (ancestor-descendant) or '/'
-  // (parent-child); '*' is a wildcard step.
-  std::vector<tix::exec::PathStep> steps;
-  const std::string& pattern = args.positional[0];
-  size_t i = 0;
-  bool next_parent_child = false;
-  while (i < pattern.size()) {
-    if (pattern[i] == '/') {
-      if (i + 1 < pattern.size() && pattern[i + 1] == '/') {
-        next_parent_child = false;
-        i += 2;
-      } else {
-        next_parent_child = true;
-        ++i;
-      }
-      continue;
-    }
-    size_t end = pattern.find('/', i);
-    if (end == std::string::npos) end = pattern.size();
-    std::string tag = pattern.substr(i, end - i);
-    if (tag == "*") tag.clear();
-    steps.push_back(tix::exec::PathStep{tag, next_parent_child});
-    i = end;
-  }
-  if (steps.empty()) {
-    std::fprintf(stderr, "path: empty pattern\n");
-    return 2;
-  }
-  steps[0].parent_child = false;
-
-  auto db = Check(tix::storage::Database::Open(args.db_dir, DbOptions(args)));
-  tix::WallTimer timer;
-  tix::exec::PathStackJoin join(db.get(), steps);
-  const auto matches = Check(join.Run());
-  std::printf("%zu matches in %.4fs (%llu elements scanned, %llu pushes)\n",
-              matches.size(), timer.ElapsedSeconds(),
-              static_cast<unsigned long long>(join.stats().elements_scanned),
-              static_cast<unsigned long long>(join.stats().pushes));
-  for (size_t m = 0; m < std::min(args.limit, matches.size()); ++m) {
-    std::string line;
-    for (tix::storage::NodeId node : matches[m]) {
-      if (!line.empty()) line += " -> ";
-      const auto record = Check(db->GetNode(node));
-      line += tix::StrFormat("%s#%u", db->TagName(record.tag_id).c_str(),
-                             node);
-    }
-    std::printf("  %s\n", line.c_str());
-  }
-  return 0;
-}
-
 int CmdVerify(const Args& args) {
   // Full scrub: open the database (catalog cross-checks + index
   // rebuild), read back every page of both data files with checksum
@@ -665,7 +606,6 @@ int main(int argc, char** argv) {
   if (args.command == "stats") return CmdStats(args);
   if (args.command == "terms") return CmdTerms(args);
   if (args.command == "query") return CmdQuery(args);
-  if (args.command == "path") return CmdPath(args);
   if (args.command == "verify") return CmdVerify(args);
   return Usage();
 }
