@@ -144,9 +144,10 @@ int main(int argc, char** argv) {
   // Galloping vs linear posting advance inside PhraseFinder (extension;
   // the most unbalanced Table 5 pair shows the effect best).
   {
-    std::vector<const tix::index::PostingList*> lists = {
-        env.index->Lookup(Table5Term(1, 1)),
-        env.index->Lookup(Table5Term(1, 2))};
+    auto first = env.index->Lookup(Table5Term(1, 1));
+    auto second = env.index->Lookup(Table5Term(1, 2));
+    if (!first.ok() || !second.ok()) return 1;
+    std::vector<const tix::index::PostingList*> lists = {*first, *second};
     tix::exec::PhraseFinderStream linear(lists, /*galloping=*/false);
     while (linear.Peek().has_value()) linear.Advance();
     tix::exec::PhraseFinderStream galloping(lists, /*galloping=*/true);

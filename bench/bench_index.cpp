@@ -168,7 +168,9 @@ int main(int argc, char** argv) {
         uint64_t touched = 0;
         for (tix::text::TermId id = 0;
              id < env.index->stats().num_terms; ++id) {
-          tix::index::BlockCursor cursor(env.index->LookupId(id));
+          TIX_ASSIGN_OR_RETURN(const tix::index::PostingList* list,
+                               env.index->LookupId(id));
+          tix::index::BlockCursor cursor(list);
           for (size_t i = 0; i < cursor.size(); ++i) {
             touched += cursor.Get(i).word_pos;
           }
@@ -216,7 +218,8 @@ int main(int argc, char** argv) {
                            auto&& fn) -> tix::Status {
     alignas(64) uint32_t buf[3 * tix::index::kSkipInterval];
     for (tix::text::TermId id = 0; id < index.stats().num_terms; ++id) {
-      const tix::index::PostingList* list = index.LookupId(id);
+      TIX_ASSIGN_OR_RETURN(const tix::index::PostingList* list,
+                           index.LookupId(id));
       if (list == nullptr || !list->is_compressed()) continue;
       const std::string_view bytes = list->block_bytes();
       for (uint32_t b = 0; b < list->num_blocks(); ++b) {
@@ -343,7 +346,9 @@ int main(int argc, char** argv) {
           uint64_t touched = 0;
           for (tix::text::TermId id = 0;
                id < cell.index->stats().num_terms; ++id) {
-            tix::index::BlockCursor cursor(cell.index->LookupId(id));
+            TIX_ASSIGN_OR_RETURN(const tix::index::PostingList* list,
+                                 cell.index->LookupId(id));
+            tix::index::BlockCursor cursor(list);
             for (size_t i = 0; i < cursor.size(); ++i) {
               touched += cursor.Get(i).word_pos;
             }

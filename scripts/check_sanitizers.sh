@@ -19,13 +19,18 @@
 # plus the hostile-frame and seeded-corruption protocol fuzz.
 # mmap_index_test covers the mapped read path: trust-mode opens served
 # straight from mmap (every posting byte it touches is mapped memory,
-# so ASan/UBSan sees any out-of-mapping read) and the truncation
-# fail-closed sweep; storage_test's concurrent AtomicWriteFile race is
-# TSan's view of the unique-tmp rename protocol. codec_test is the
-# decode-kernel differential fuzz: the SSSE3 shuffle kernel uses
-# 16-byte loads with explicit tail guards, and running the
-# every-prefix-truncation and random-garbage sweeps under ASan is the
-# proof those guards never read past the posting block. query_test
+# so ASan/UBSan sees any out-of-mapping read), the truncation
+# fail-closed sweep, and the first-touch scrub: 8 threads racing to be
+# the first lookup of one list and of many distinct lists (TSan checks
+# the once-per-list guard and the acquire/release publication of the
+# derived metadata) plus a corrupt block failing queries, a server
+# QUERY and compaction with Corruption; storage_test's concurrent
+# AtomicWriteFile race is TSan's view of the unique-tmp rename
+# protocol. codec_test is the decode-kernel differential fuzz: the
+# SSSE3 shuffle kernel uses 16-byte loads with explicit tail guards,
+# and running the every-prefix-truncation and random-garbage sweeps
+# under ASan is the proof those guards never read past the posting
+# block. query_test
 # drives the engine's step matcher: node-range cuts, binary searches
 # over the tag index and the anchors, and subtree scans bounded by the
 # interval columns, through the seeded engine-vs-reference fuzz and the

@@ -92,8 +92,8 @@ void EncodeBlockTail(TailFormat format, const uint32_t* triples, size_t count,
 /// triples[3 .. 3*count). `bytes` must contain exactly the block's tail
 /// — truncated, overlong or trailing input returns Corruption. Decoded
 /// values may wrap on adversarial input; callers validate ordering once
-/// at load time (PostingList::FinishCompressed), after which decoding
-/// the same bytes is deterministic and cannot fail.
+/// per list (PostingList::Scrub, at open or on the list's first lookup),
+/// after which decoding the same bytes is deterministic and cannot fail.
 Status DecodeBlockTail(TailFormat format, std::string_view bytes, size_t count,
                        uint32_t* triples);
 

@@ -151,6 +151,8 @@ const char* CounterName(Counter counter) {
       return "result_cache_gen_evictions";
     case Counter::kTermJoinOccurrences:
       return "term_join_occurrences";
+    case Counter::kIndexListsScrubbed:
+      return "index_lists_scrubbed";
   }
   return "unknown";
 }

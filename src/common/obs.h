@@ -63,9 +63,12 @@ enum class Counter : int {
   /// gossip settings; exported in STATS so external processes can read
   /// it without EXPLAIN.
   kTermJoinOccurrences = 14,
+  /// Posting lists scrubbed on their first lookup after a trust-mode
+  /// open (InvertedIndex::Lookup): at most once per list per open.
+  kIndexListsScrubbed = 15,
 };
 
-inline constexpr int kNumCounters = 15;
+inline constexpr int kNumCounters = 16;
 
 /// Stable snake_case name used in EXPLAIN output and the JSON schema.
 const char* CounterName(Counter counter);

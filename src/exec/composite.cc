@@ -119,8 +119,8 @@ Result<std::vector<ScoredElement>> Comp1::Run() {
   const obs::ScopedMetrics scope(&local);
   const bool complex = scorer_->is_complex();
   const size_t num_phrases = predicate_->num_phrases();
-  std::vector<std::unique_ptr<OccurrenceStream>> streams =
-      MakeOccurrenceStreams(*index_, *predicate_);
+  TIX_ASSIGN_OR_RETURN(std::vector<std::unique_ptr<OccurrenceStream>> streams,
+                       MakeOccurrenceStreams(*index_, *predicate_));
   std::unordered_set<storage::NodeId> occurrence_text_nodes;
 
   // σ_Pi + γ_i per phrase: expand occurrences to (ancestor, occurrence)
@@ -226,8 +226,8 @@ Result<std::vector<ScoredElement>> Comp2::Run() {
   const obs::ScopedMetrics scope(&local);
   const bool complex = scorer_->is_complex();
   const size_t num_phrases = predicate_->num_phrases();
-  std::vector<std::unique_ptr<OccurrenceStream>> streams =
-      MakeOccurrenceStreams(*index_, *predicate_);
+  TIX_ASSIGN_OR_RETURN(std::vector<std::unique_ptr<OccurrenceStream>> streams,
+                       MakeOccurrenceStreams(*index_, *predicate_));
   std::unordered_set<storage::NodeId> occurrence_text_nodes;
 
   // Per phrase: stack-based ancestor structural join between the full

@@ -37,8 +37,8 @@ Result<std::vector<ScoredElement>> GeneralizedMeet::Run() {
   const obs::ScopedMetrics scope(&local);
   const bool complex = scorer_->is_complex();
   const size_t num_phrases = predicate_->num_phrases();
-  std::vector<std::unique_ptr<OccurrenceStream>> streams =
-      MakeOccurrenceStreams(*index_, *predicate_);
+  TIX_ASSIGN_OR_RETURN(std::vector<std::unique_ptr<OccurrenceStream>> streams,
+                       MakeOccurrenceStreams(*index_, *predicate_));
 
   // Node id -> accumulated group. (The meet algorithm groups "based on
   // node id" [22]; a hash map realizes that grouping.)

@@ -179,21 +179,34 @@ void PhraseFinderStream::FindNextMatch() {
   exhausted_ = true;
 }
 
-std::vector<std::unique_ptr<OccurrenceStream>> MakeOccurrenceStreams(
+Result<PhraseLists> LookupPhraseLists(const index::InvertedIndex& index,
+                                      const algebra::IrPredicate& predicate) {
+  PhraseLists phrase_lists;
+  phrase_lists.reserve(predicate.phrases.size());
+  for (const algebra::WeightedPhrase& phrase : predicate.phrases) {
+    std::vector<const index::PostingList*> lists;
+    lists.reserve(phrase.terms.size());
+    for (const std::string& term : phrase.terms) {
+      TIX_ASSIGN_OR_RETURN(const index::PostingList* list, index.Lookup(term));
+      lists.push_back(list);
+    }
+    phrase_lists.push_back(std::move(lists));
+  }
+  return phrase_lists;
+}
+
+Result<std::vector<std::unique_ptr<OccurrenceStream>>> MakeOccurrenceStreams(
     const index::InvertedIndex& index, const algebra::IrPredicate& predicate,
     DocRange range) {
+  TIX_ASSIGN_OR_RETURN(PhraseLists phrase_lists,
+                       LookupPhraseLists(index, predicate));
   std::vector<std::unique_ptr<OccurrenceStream>> streams;
-  streams.reserve(predicate.phrases.size());
-  for (const algebra::WeightedPhrase& phrase : predicate.phrases) {
-    if (phrase.terms.size() == 1) {
-      streams.push_back(std::make_unique<TermOccurrenceStream>(
-          index.Lookup(phrase.terms[0]), range));
+  streams.reserve(phrase_lists.size());
+  for (std::vector<const index::PostingList*>& lists : phrase_lists) {
+    if (lists.size() == 1) {
+      streams.push_back(
+          std::make_unique<TermOccurrenceStream>(lists[0], range));
     } else {
-      std::vector<const index::PostingList*> lists;
-      lists.reserve(phrase.terms.size());
-      for (const std::string& term : phrase.terms) {
-        lists.push_back(index.Lookup(term));
-      }
       streams.push_back(std::make_unique<PhraseFinderStream>(
           std::move(lists), /*galloping=*/false, range));
     }

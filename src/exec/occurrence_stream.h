@@ -142,11 +142,21 @@ class PhraseFinderStream : public OccurrenceStream {
   uint64_t postings_scanned_ = 0;
 };
 
+/// Posting lists per phrase of a predicate: lists[p][t] is term t of
+/// phrase p, nullptr when the term does not occur in the index.
+using PhraseLists = std::vector<std::vector<const index::PostingList*>>;
+
+/// Looks every term of `predicate` up through the index's gate
+/// (InvertedIndex::Lookup). Fails with Corruption when a list fails its
+/// first-touch scrub.
+Result<PhraseLists> LookupPhraseLists(const index::InvertedIndex& index,
+                                      const algebra::IrPredicate& predicate);
+
 /// Builds one occurrence stream per phrase of `predicate`, looking terms
 /// up in `index`. Missing terms produce empty streams (score 0, as the
 /// algebra prescribes for absent phrases). `range` restricts every
-/// stream to the given document range.
-std::vector<std::unique_ptr<OccurrenceStream>> MakeOccurrenceStreams(
+/// stream to the given document range. Fails as LookupPhraseLists does.
+Result<std::vector<std::unique_ptr<OccurrenceStream>>> MakeOccurrenceStreams(
     const index::InvertedIndex& index, const algebra::IrPredicate& predicate,
     DocRange range = {});
 

@@ -10,56 +10,36 @@
 
 namespace tix::exec {
 
-std::vector<DocRange> PlanDocPartitions(const index::InvertedIndex& index,
-                                        const algebra::IrPredicate& predicate,
-                                        storage::DocId num_docs,
-                                        size_t target_partitions,
-                                        DocRange within) {
+Result<std::vector<DocRange>> PlanDocPartitions(
+    const index::InvertedIndex& index, const algebra::IrPredicate& predicate,
+    storage::DocId num_docs, size_t target_partitions, DocRange within) {
   std::vector<DocRange> ranges;
   const storage::DocId lo = within.begin;
   const storage::DocId hi = std::min(num_docs, within.end);
   if (lo >= hi) return ranges;
   const size_t target = std::max<size_t>(1, target_partitions);
 
-  // Posting mass per document, from the doc-offset tables: one entry per
-  // (term, doc) pair, no posting scan.
+  // Posting mass per document, from the doc offsets: one entry per
+  // (term, doc) pair, no posting scan. Every non-empty list the gate
+  // hands out carries them.
   std::vector<uint64_t> mass(hi - lo, 0);
   uint64_t total = 0;
-  for (const algebra::WeightedPhrase& phrase : predicate.phrases) {
-    for (const std::string& term : phrase.terms) {
-      const index::PostingList* list = index.Lookup(term);
-      if (list == nullptr || list->empty()) continue;
-      if (!list->doc_offsets.empty()) {
-        for (size_t i = 0; i < list->doc_offsets.size(); ++i) {
-          const auto& [doc, offset] = list->doc_offsets[i];
-          const uint32_t next = i + 1 < list->doc_offsets.size()
-                                    ? list->doc_offsets[i + 1].second
-                                    : static_cast<uint32_t>(list->size());
-          if (doc >= lo && doc < hi) {
-            mass[doc - lo] += next - offset;
-            total += next - offset;
-          }
-        }
-      } else if (list->is_compressed()) {
-        // Trust-mode open: doc_offsets were never derived. Charge each
-        // block's posting count to its first document — approximate,
-        // but partitioning only needs balance (cuts stay between
-        // documents either way), and this never decodes a block.
-        for (size_t b = 0; b < list->skips.size(); ++b) {
-          const storage::DocId doc = list->skips[b].doc_id;
-          if (doc >= lo && doc < hi) {
-            const uint32_t count =
-                list->BlockPostingCount(static_cast<uint32_t>(b));
-            mass[doc - lo] += count;
-            total += count;
-          }
-        }
-      } else {
-        for (const index::Posting& posting : list->postings) {
-          if (posting.doc_id >= lo && posting.doc_id < hi) {
-            ++mass[posting.doc_id - lo];
-            ++total;
-          }
+  TIX_ASSIGN_OR_RETURN(const PhraseLists phrase_lists,
+                       LookupPhraseLists(index, predicate));
+  for (const std::vector<const index::PostingList*>& lists : phrase_lists) {
+    for (const index::PostingList* list : lists) {
+      const index::PostingMetadata* metadata =
+          list == nullptr ? nullptr : list->metadata();
+      if (metadata == nullptr) continue;  // absent or empty
+      const auto& doc_offsets = metadata->doc_offsets;
+      for (size_t i = 0; i < doc_offsets.size(); ++i) {
+        const auto& [doc, offset] = doc_offsets[i];
+        const uint32_t next = i + 1 < doc_offsets.size()
+                                  ? doc_offsets[i + 1].second
+                                  : static_cast<uint32_t>(list->size());
+        if (doc >= lo && doc < hi) {
+          mass[doc - lo] += next - offset;
+          total += next - offset;
         }
       }
     }
@@ -119,8 +99,9 @@ Result<std::vector<ScoredElement>> ParallelTermJoin::Run() {
 
   const storage::DocId num_docs =
       static_cast<storage::DocId>(db_->documents().size());
-  partitions_ = PlanDocPartitions(*index_, *predicate_, num_docs,
-                                  num_partitions, options_.join.range);
+  TIX_ASSIGN_OR_RETURN(partitions_,
+                       PlanDocPartitions(*index_, *predicate_, num_docs,
+                                         num_partitions, options_.join.range));
   // Pool workers start with no thread-local metrics context; install the
   // caller's (the query's) inside each task so per-partition TermJoin
   // contexts parent to it and the query totals roll up across threads.

@@ -40,15 +40,13 @@ struct ParallelTermJoinOptions {
 /// Plans contiguous, disjoint doc-id ranges that cover
 /// [within.begin, min(num_docs, within.end)) and never split a document,
 /// balanced by the predicate's posting volume per document (computed
-/// from the posting lists' doc-offset tables in O(df), not a posting
-/// scan). Returns at most `target_partitions` non-empty ranges — fewer
-/// when there are fewer documents. The default `within` covers the whole
-/// corpus, preserving the historical behavior.
-std::vector<DocRange> PlanDocPartitions(const index::InvertedIndex& index,
-                                        const algebra::IrPredicate& predicate,
-                                        storage::DocId num_docs,
-                                        size_t target_partitions,
-                                        DocRange within = {});
+/// from the posting lists' doc offsets in O(df), not a posting scan).
+/// Returns at most `target_partitions` non-empty ranges — fewer when
+/// there are fewer documents. The default `within` covers the whole
+/// corpus. Fails as LookupPhraseLists does.
+Result<std::vector<DocRange>> PlanDocPartitions(
+    const index::InvertedIndex& index, const algebra::IrPredicate& predicate,
+    storage::DocId num_docs, size_t target_partitions, DocRange within = {});
 
 class ParallelTermJoin {
  public:

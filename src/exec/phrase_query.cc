@@ -19,7 +19,10 @@ PhraseFinderQuery::PhraseFinderQuery(storage::Database* db,
 Result<std::vector<PhraseResult>> PhraseFinderQuery::Run() {
   std::vector<const index::PostingList*> lists;
   lists.reserve(terms_.size());
-  for (const std::string& term : terms_) lists.push_back(index_->Lookup(term));
+  for (const std::string& term : terms_) {
+    TIX_ASSIGN_OR_RETURN(const index::PostingList* list, index_->Lookup(term));
+    lists.push_back(list);
+  }
   PhraseFinderStream stream(std::move(lists), /*galloping=*/false, range_);
 
   std::vector<PhraseResult> out;
@@ -49,7 +52,8 @@ Result<std::vector<PhraseResult>> Comp3::Run() {
   // id list of each.
   std::vector<std::vector<storage::NodeId>> node_lists(terms_.size());
   for (size_t i = 0; i < terms_.size(); ++i) {
-    const index::PostingList* list = index_->Lookup(terms_[i]);
+    TIX_ASSIGN_OR_RETURN(const index::PostingList* list,
+                         index_->Lookup(terms_[i]));
     if (list == nullptr) return std::vector<PhraseResult>{};
     std::vector<storage::NodeId>& nodes = node_lists[i];
     index::BlockCursor cursor(list);

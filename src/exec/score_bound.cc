@@ -4,19 +4,6 @@
 
 namespace tix::exec {
 
-ScoreBoundOracle::ScoreBoundOracle(const index::InvertedIndex& index,
-                                   const algebra::IrPredicate& predicate) {
-  phrase_lists_.reserve(predicate.phrases.size());
-  for (const algebra::WeightedPhrase& phrase : predicate.phrases) {
-    std::vector<const index::PostingList*> lists;
-    lists.reserve(phrase.terms.size());
-    for (const std::string& term : phrase.terms) {
-      lists.push_back(index.Lookup(term));
-    }
-    phrase_lists_.push_back(std::move(lists));
-  }
-}
-
 void ScoreBoundOracle::DocBoundCounts(storage::DocId doc,
                                       std::vector<uint32_t>* counts) const {
   counts->assign(phrase_lists_.size(), 0);
@@ -63,7 +50,7 @@ storage::DocId ScoreBoundOracle::NextCandidateDoc(storage::DocId from) const {
   for (const std::vector<const index::PostingList*>& lists : phrase_lists_) {
     for (const index::PostingList* list : lists) {
       if (list == nullptr || list->empty()) continue;
-      // Doc-offset metadata only — no posting block is decoded.
+      // Doc offsets only — no posting block is decoded.
       const storage::DocId next = list->FirstDocAtOrAfter(from);
       if (next != UINT32_MAX) best = std::min(best, next);
     }

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "algebra/scoring.h"
@@ -51,16 +52,17 @@ class TopKFloor {
 };
 
 /// Count upper bounds for the phrases of one IR predicate, answered from
-/// the posting lists' doc-offset tables and block-max skip metadata. A
+/// the posting lists' metadata (doc offsets and block-max bounds). A
 /// multi-term phrase is bounded by the scarcest of its member terms
 /// (every phrase match consumes one posting of each term). Missing terms
-/// bound the phrase at zero; lists without skip metadata degrade to
+/// bound the phrase at zero; lists without metadata degrade to
 /// "unknown" (UINT32_MAX) over one-document windows, so hand-built
 /// lists stay correct and simply never prune.
 class ScoreBoundOracle {
  public:
-  ScoreBoundOracle(const index::InvertedIndex& index,
-                   const algebra::IrPredicate& predicate);
+  /// `phrase_lists` as LookupPhraseLists returns them.
+  explicit ScoreBoundOracle(PhraseLists phrase_lists)
+      : phrase_lists_(std::move(phrase_lists)) {}
 
   size_t num_phrases() const { return phrase_lists_.size(); }
 
@@ -83,7 +85,7 @@ class ScoreBoundOracle {
  private:
   /// phrase_lists_[p] holds one entry per term of phrase p; nullptr
   /// marks a term absent from the index.
-  std::vector<std::vector<const index::PostingList*>> phrase_lists_;
+  PhraseLists phrase_lists_;
 };
 
 }  // namespace tix::exec

@@ -351,10 +351,13 @@ Result<std::vector<ScoredElement>> TermJoin::Run() {
   // work.
   metrics_.set_parent(obs::CurrentMetrics());
   const obs::ScopedMetrics scope(&metrics_);
-  streams_ = MakeOccurrenceStreams(*index_, *predicate_, options_.range);
+  TIX_ASSIGN_OR_RETURN(
+      streams_, MakeOccurrenceStreams(*index_, *predicate_, options_.range));
   if (pushdown_) {
     topk_.emplace(*options_.threshold);
-    oracle_.emplace(*index_, *predicate_);
+    TIX_ASSIGN_OR_RETURN(PhraseLists lists,
+                         LookupPhraseLists(*index_, *predicate_));
+    oracle_.emplace(std::move(lists));
     current_doc_bound_ = std::numeric_limits<double>::infinity();
     last_floor_ = -std::numeric_limits<double>::infinity();
   }

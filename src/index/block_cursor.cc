@@ -18,9 +18,10 @@ void BlockCursor::Load(size_t i) {
   if (handle == nullptr) {
     auto fresh = std::make_shared<DecodedBlock>();
     const Status status = list_->DecodeBlock(block, fresh->postings.data());
-    // The list was validated when compressed/loaded, so decoding the
-    // same bytes again cannot fail; a failure here is memory corruption
-    // or API misuse, not bad input.
+    // The list was validated (compressed in memory, or scrubbed at a
+    // verifying open or at its first InvertedIndex::Lookup), so decoding
+    // the same bytes again cannot fail; a failure here is memory
+    // corruption or API misuse, not bad input.
     TIX_CHECK(status.ok()) << status.ToString();
     obs::Count(obs::Counter::kIndexBlocksDecoded);
     handle = cache.Insert(list_->cache_id, block, std::move(fresh));

@@ -22,7 +22,8 @@ class BlockCursor {
  public:
   /// `list` may be nullptr (unknown term): size() is then 0. The list
   /// must outlive the cursor and, if compressed, must have been
-  /// finalized by Compress()/FinishCompressed().
+  /// validated by Compress()/Scrub() — every list InvertedIndex::Lookup
+  /// returns has been.
   explicit BlockCursor(const PostingList* list = nullptr)
       : list_(list), size_(list == nullptr ? 0 : list->size()) {
     if (list_ != nullptr && !list_->is_compressed()) {

@@ -1,9 +1,12 @@
 #include "index/inverted_index.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <mutex>
 #include <type_traits>
 
 #include "common/block_codec.h"
@@ -45,20 +48,132 @@ uint32_t* AsTriples(Posting* postings) {
   return reinterpret_cast<uint32_t*>(postings);
 }
 
+using DocOffsets = std::vector<std::pair<storage::DocId, uint32_t>>;
+
+/// Completes metadata from a list's doc boundaries: block-max bounds and
+/// the list max. A document's *total* count is charged to every block
+/// its postings touch, so a block's bound stays valid for documents
+/// whose postings straddle block boundaries.
+std::unique_ptr<const PostingMetadata> MakeMetadata(DocOffsets doc_offsets,
+                                                    uint32_t num_postings) {
+  auto metadata = std::make_unique<PostingMetadata>();
+  metadata->block_max.assign(
+      (num_postings + kSkipInterval - 1) / kSkipInterval, 0);
+  for (size_t d = 0; d < doc_offsets.size(); ++d) {
+    const uint32_t begin = doc_offsets[d].second;
+    const uint32_t end = d + 1 < doc_offsets.size()
+                             ? doc_offsets[d + 1].second
+                             : num_postings;
+    const uint32_t count = end - begin;
+    metadata->max_doc_count = std::max(metadata->max_doc_count, count);
+    for (size_t b = begin / kSkipInterval; b <= (end - 1) / kSkipInterval;
+         ++b) {
+      metadata->block_max[b] = std::max(metadata->block_max[b], count);
+    }
+  }
+  metadata->doc_offsets = std::move(doc_offsets);
+  return metadata;
+}
+
+/// The one posting validator, behind Scrub() and DebugCheckSorted():
+/// visits every posting of `list` in order — decoding a compressed list
+/// block by block — and checks block framing, that postings ascend
+/// strictly by (doc_id, word_pos) with node ids non-decreasing inside a
+/// document, and that the doc/node frequencies match. `visit(posting,
+/// index, new_doc)` sees each posting, its index and whether it starts
+/// a document.
+template <typename Visit>
+Status ForEachValidated(const PostingList& list, Visit visit) {
+  uint32_t docs_seen = 0;
+  uint32_t nodes_seen = 0;
+  Posting prev{};
+  bool has_prev = false;
+  auto check = [&](const Posting& posting, uint32_t index) -> Status {
+    const bool new_doc = !has_prev || posting.doc_id != prev.doc_id;
+    if (new_doc) ++docs_seen;
+    if (new_doc || posting.node_id != prev.node_id) ++nodes_seen;
+    if (has_prev) {
+      if (posting.doc_id < prev.doc_id) {
+        return Status::Corruption("posting list: doc ids out of order");
+      }
+      if (posting.doc_id == prev.doc_id) {
+        if (posting.word_pos <= prev.word_pos) {
+          return Status::Corruption(
+              "posting list: word positions not strictly ascending");
+        }
+        if (posting.node_id < prev.node_id) {
+          return Status::Corruption(
+              "posting list: node ids out of order within a document");
+        }
+      }
+    }
+    prev = posting;
+    has_prev = true;
+    visit(posting, index, new_doc);
+    return Status::OK();
+  };
+  if (!list.is_compressed()) {
+    for (uint32_t i = 0; i < list.postings.size(); ++i) {
+      TIX_RETURN_IF_ERROR(check(list.postings[i], i));
+    }
+  } else {
+    if (list.skips.size() != list.num_blocks()) {
+      return Status::Corruption(
+          "posting list: block directory size mismatch");
+    }
+    Posting buffer[kSkipInterval];
+    for (uint32_t b = 0; b < list.num_blocks(); ++b) {
+      if (list.skips[b].offset != b * kSkipInterval) {
+        return Status::Corruption("posting list: skip offsets not aligned");
+      }
+      TIX_RETURN_IF_ERROR(list.DecodeBlock(b, buffer));
+      const uint32_t count = list.BlockPostingCount(b);
+      for (uint32_t i = 0; i < count; ++i) {
+        TIX_RETURN_IF_ERROR(check(buffer[i], b * kSkipInterval + i));
+      }
+    }
+  }
+  if (docs_seen != list.doc_frequency) {
+    return Status::Corruption("posting list: doc_frequency mismatch");
+  }
+  if (nodes_seen != list.node_frequency) {
+    return Status::Corruption("posting list: node_frequency mismatch");
+  }
+  return Status::OK();
+}
+
+/// Doc-offset entry of the first document >= `doc`.
+DocOffsets::const_iterator DocEntryAtOrAfter(const PostingMetadata& metadata,
+                                             storage::DocId doc) {
+  return std::lower_bound(
+      metadata.doc_offsets.begin(), metadata.doc_offsets.end(), doc,
+      [](const std::pair<storage::DocId, uint32_t>& entry,
+         storage::DocId target) { return entry.first < target; });
+}
+
+/// First-touch scrubs serialize on one of these stripes, keyed by the
+/// list's address: concurrent first lookups of one list scrub it once,
+/// while distinct lists mostly scrub in parallel.
+std::mutex& ScrubMutex(const PostingList* list) {
+  static std::array<std::mutex, 64> stripes;
+  return stripes[(reinterpret_cast<uintptr_t>(list) / sizeof(PostingList)) %
+                 stripes.size()];
+}
+
 }  // namespace
 
 void PostingList::BuildSkips() {
   if (is_compressed()) {
     // Compressed metadata is authoritative: it was derived (and
-    // validated) when the list was compressed or loaded, and cannot be
-    // rebuilt from the (empty) decoded vector.
+    // validated) when the list was compressed or scrubbed, and cannot
+    // be rebuilt from the (empty) decoded vector.
     return;
   }
   skips.clear();
-  doc_offsets.clear();
-  max_doc_count = 0;
+  derived.Publish(nullptr);
   if (postings.empty()) return;
   skips.reserve(postings.size() / kSkipInterval + 1);
+  DocOffsets doc_offsets;
   storage::DocId prev_doc = postings[0].doc_id + 1;  // != first doc
   for (uint32_t i = 0; i < postings.size(); ++i) {
     const Posting& posting = postings[i];
@@ -70,21 +185,8 @@ void PostingList::BuildSkips() {
       prev_doc = posting.doc_id;
     }
   }
-  // Second pass: block-max metadata. A document's *total* count is
-  // charged to every block its postings touch, so a block's bound stays
-  // valid for documents whose postings straddle block boundaries.
-  for (size_t d = 0; d < doc_offsets.size(); ++d) {
-    const uint32_t begin = doc_offsets[d].second;
-    const uint32_t end = d + 1 < doc_offsets.size()
-                             ? doc_offsets[d + 1].second
-                             : static_cast<uint32_t>(postings.size());
-    const uint32_t count = end - begin;
-    max_doc_count = std::max(max_doc_count, count);
-    for (size_t b = begin / kSkipInterval; b <= (end - 1) / kSkipInterval;
-         ++b) {
-      skips[b].max_doc_count = std::max(skips[b].max_doc_count, count);
-    }
-  }
+  derived.Publish(MakeMetadata(std::move(doc_offsets),
+                               static_cast<uint32_t>(postings.size())));
 }
 
 void PostingList::Compress() {
@@ -132,89 +234,16 @@ Status PostingList::DecodeBlock(uint32_t block, Posting* out) const {
                                 BlockPostingCount(block), AsTriples(out));
 }
 
-Status PostingList::FinishCompressed() {
-  postings.clear();
-  doc_offsets.clear();
-  max_doc_count = 0;
-  if (num_encoded == 0) {
-    if (!skips.empty() || !block_bytes().empty()) {
-      return Status::Corruption(
-          "posting list: empty list with block payload");
-    }
-    return doc_frequency == 0 && node_frequency == 0
-               ? Status::OK()
-               : Status::Corruption(
-                     "posting list: empty list with nonzero frequencies");
-  }
-  if (skips.size() != num_blocks()) {
-    return Status::Corruption("posting list: block directory size mismatch");
-  }
-  if (doc_frequency > node_frequency || node_frequency > num_encoded) {
-    return Status::Corruption("posting list: implausible frequencies");
-  }
-  // One streaming pass: validates every block's framing and the global
-  // posting order, and collects the doc boundaries exactly as
-  // BuildSkips does on a decoded list.
+Status PostingList::Scrub() const {
+  DocOffsets doc_offsets;
   doc_offsets.reserve(doc_frequency);
-  Posting buffer[kSkipInterval];
-  uint32_t docs_seen = 0;
-  uint32_t nodes_seen = 0;
-  Posting prev{};
-  bool has_prev = false;
-  for (uint32_t b = 0; b < skips.size(); ++b) {
-    if (skips[b].offset != b * kSkipInterval) {
-      return Status::Corruption("posting list: skip offsets not aligned");
-    }
-    skips[b].max_doc_count = 0;  // derived below, never trusted from disk
-    TIX_RETURN_IF_ERROR(DecodeBlock(b, buffer));
-    const uint32_t count = BlockPostingCount(b);
-    for (uint32_t i = 0; i < count; ++i) {
-      const Posting& posting = buffer[i];
-      const bool new_doc = !has_prev || posting.doc_id != prev.doc_id;
-      if (new_doc) {
-        ++docs_seen;
-        doc_offsets.emplace_back(posting.doc_id, b * kSkipInterval + i);
-      }
-      if (new_doc || posting.node_id != prev.node_id) ++nodes_seen;
-      if (has_prev) {
-        if (posting.doc_id < prev.doc_id) {
-          return Status::Corruption("posting list: doc ids out of order");
-        }
-        if (posting.doc_id == prev.doc_id) {
-          if (posting.word_pos <= prev.word_pos) {
-            return Status::Corruption(
-                "posting list: word positions not strictly ascending");
-          }
-          if (posting.node_id < prev.node_id) {
-            return Status::Corruption(
-                "posting list: node ids out of order within a document");
-          }
-        }
-      }
-      prev = posting;
-      has_prev = true;
-    }
-  }
-  if (docs_seen != doc_frequency) {
-    return Status::Corruption("posting list: doc_frequency mismatch");
-  }
-  if (nodes_seen != node_frequency) {
-    return Status::Corruption("posting list: node_frequency mismatch");
-  }
-  // Block-max metadata, straddle-safe (same rule as BuildSkips).
-  for (size_t d = 0; d < doc_offsets.size(); ++d) {
-    const uint32_t begin = doc_offsets[d].second;
-    const uint32_t end = d + 1 < doc_offsets.size()
-                             ? doc_offsets[d + 1].second
-                             : num_encoded;
-    const uint32_t count = end - begin;
-    max_doc_count = std::max(max_doc_count, count);
-    for (size_t b = begin / kSkipInterval; b <= (end - 1) / kSkipInterval;
-         ++b) {
-      skips[b].max_doc_count = std::max(skips[b].max_doc_count, count);
-    }
-  }
-  cache_id = DecodedBlockCache::NextListId();
+  TIX_RETURN_IF_ERROR(ForEachValidated(
+      *this, [&doc_offsets](const Posting& posting, uint32_t index,
+                            bool new_doc) {
+        if (new_doc) doc_offsets.emplace_back(posting.doc_id, index);
+      }));
+  derived.Publish(
+      MakeMetadata(std::move(doc_offsets), static_cast<uint32_t>(size())));
   return Status::OK();
 }
 
@@ -236,55 +265,15 @@ size_t PostingList::PostingBytes() const {
   return is_mapped() ? 0 : blocks.capacity();
 }
 
-namespace {
-
-/// Random access to one posting of a compressed list, decoding exactly
-/// the covering block into a stack buffer. Only the lazy trust-mode
-/// seek paths use this; hot block iteration stays on BlockCursor and
-/// the DecodedBlockCache.
-Posting PostingAt(const PostingList& list, size_t index) {
-  const uint32_t block = static_cast<uint32_t>(index / kSkipInterval);
-  Posting buffer[kSkipInterval];
-  const Status status = list.DecodeBlock(block, buffer);
-  TIX_CHECK(status.ok()) << status.ToString();
-  return buffer[index % kSkipInterval];
-}
-
-}  // namespace
-
 size_t PostingList::LowerBoundDoc(storage::DocId doc) const {
   if (doc == 0 || empty()) return 0;
-  if (!doc_offsets.empty()) {
-    const auto it = std::lower_bound(
-        doc_offsets.begin(), doc_offsets.end(), doc,
-        [](const std::pair<storage::DocId, uint32_t>& entry,
-           storage::DocId target) { return entry.first < target; });
-    return it == doc_offsets.end() ? size() : it->second;
+  if (const PostingMetadata* metadata = this->metadata()) {
+    const auto it = DocEntryAtOrAfter(*metadata, doc);
+    return it == metadata->doc_offsets.end() ? size() : it->second;
   }
-  if (is_compressed()) {
-    // Trust-mode open: doc_offsets were never derived. The skip
-    // directory narrows the target to one block (the last block whose
-    // first doc is before `doc` — every earlier block is entirely
-    // before it, every later one entirely at-or-after); decode just
-    // that block and search inside it.
-    const auto it = std::partition_point(
-        skips.begin(), skips.end(),
-        [doc](const SkipEntry& entry) { return entry.doc_id < doc; });
-    if (it == skips.begin()) return 0;
-    const uint32_t block =
-        static_cast<uint32_t>(it - skips.begin()) - 1;
-    Posting buffer[kSkipInterval];
-    const Status status = DecodeBlock(block, buffer);
-    TIX_CHECK(status.ok()) << status.ToString();
-    const uint32_t count = BlockPostingCount(block);
-    const auto pos = std::lower_bound(
-        buffer, buffer + count, doc,
-        [](const Posting& posting, storage::DocId target) {
-          return posting.doc_id < target;
-        });
-    return size_t{block} * kSkipInterval +
-           static_cast<size_t>(pos - buffer);
-  }
+  // A compressed list always has metadata once it passed the gate
+  // (InvertedIndex::Lookup); reaching here without is a caller bug.
+  TIX_CHECK(!is_compressed()) << "compressed posting list read unscrubbed";
   // Acceleration structures not built (hand-assembled decoded list):
   // binary search the postings directly.
   const auto it = std::lower_bound(
@@ -297,45 +286,33 @@ size_t PostingList::LowerBoundDoc(storage::DocId doc) const {
 
 uint32_t PostingList::DocPostingCount(storage::DocId doc) const {
   if (empty() || doc == UINT32_MAX) return 0;
-  if (!doc_offsets.empty()) {
-    const auto it = std::lower_bound(
-        doc_offsets.begin(), doc_offsets.end(), doc,
-        [](const std::pair<storage::DocId, uint32_t>& entry,
-           storage::DocId target) { return entry.first < target; });
-    if (it == doc_offsets.end() || it->first != doc) return 0;
-    const uint32_t next = std::next(it) != doc_offsets.end()
+  if (const PostingMetadata* metadata = this->metadata()) {
+    const auto it = DocEntryAtOrAfter(*metadata, doc);
+    if (it == metadata->doc_offsets.end() || it->first != doc) return 0;
+    const uint32_t next = std::next(it) != metadata->doc_offsets.end()
                               ? std::next(it)->second
                               : static_cast<uint32_t>(size());
     return next - it->second;
   }
   const size_t lo = LowerBoundDoc(doc);
-  if (is_compressed()) {
-    if (lo >= num_encoded || PostingAt(*this, lo).doc_id != doc) return 0;
-    return static_cast<uint32_t>(LowerBoundDoc(doc + 1) - lo);
-  }
   if (lo >= postings.size() || postings[lo].doc_id != doc) return 0;
   return static_cast<uint32_t>(LowerBoundDoc(doc + 1) - lo);
 }
 
 storage::DocId PostingList::FirstDocAtOrAfter(storage::DocId doc) const {
   if (empty()) return UINT32_MAX;
-  if (!doc_offsets.empty()) {
-    const auto it = std::lower_bound(
-        doc_offsets.begin(), doc_offsets.end(), doc,
-        [](const std::pair<storage::DocId, uint32_t>& entry,
-           storage::DocId target) { return entry.first < target; });
-    return it == doc_offsets.end() ? UINT32_MAX : it->first;
+  if (const PostingMetadata* metadata = this->metadata()) {
+    const auto it = DocEntryAtOrAfter(*metadata, doc);
+    return it == metadata->doc_offsets.end() ? UINT32_MAX : it->first;
   }
   const size_t pos = LowerBoundDoc(doc);
-  if (is_compressed()) {
-    return pos < num_encoded ? PostingAt(*this, pos).doc_id : UINT32_MAX;
-  }
   return pos < postings.size() ? postings[pos].doc_id : UINT32_MAX;
 }
 
 PostingList::BlockBound PostingList::BlockBoundAt(storage::DocId from) const {
   if (empty()) return BlockBound{0, UINT32_MAX};
-  if (skips.empty()) {
+  const PostingMetadata* metadata = this->metadata();
+  if (metadata == nullptr) {
     // No metadata: an unbounded estimate over a one-document window
     // keeps callers correct without pretending to know anything.
     return BlockBound{UINT32_MAX,
@@ -345,7 +322,7 @@ PostingList::BlockBound PostingList::BlockBoundAt(storage::DocId from) const {
   if (pos >= size()) return BlockBound{0, UINT32_MAX};
   const size_t block = pos / kSkipInterval;
   BlockBound bound;
-  bound.max_doc_count = skips[block].max_doc_count;
+  bound.max_doc_count = metadata->block_max[block];
   if (block + 1 < skips.size()) {
     // The next block's first doc may equal `from` when one document
     // straddles the boundary; clamp so the window always advances.
@@ -371,79 +348,7 @@ size_t PostingList::SkipForward(size_t from, storage::DocId doc,
 }
 
 Status PostingList::DebugCheckSorted() const {
-  if (is_compressed()) {
-    // FinishCompressed performs this exact validation while deriving the
-    // metadata; re-running it on demand re-decodes each block once.
-    Posting buffer[kSkipInterval];
-    uint32_t docs_seen = 0;
-    uint32_t nodes_seen = 0;
-    Posting prev{};
-    bool has_prev = false;
-    for (uint32_t b = 0; b < num_blocks(); ++b) {
-      TIX_RETURN_IF_ERROR(DecodeBlock(b, buffer));
-      const uint32_t count = BlockPostingCount(b);
-      for (uint32_t i = 0; i < count; ++i) {
-        const Posting& posting = buffer[i];
-        const bool new_doc = !has_prev || posting.doc_id != prev.doc_id;
-        if (new_doc) ++docs_seen;
-        if (new_doc || posting.node_id != prev.node_id) ++nodes_seen;
-        if (has_prev) {
-          if (posting.doc_id < prev.doc_id) {
-            return Status::Corruption("posting list: doc ids out of order");
-          }
-          if (posting.doc_id == prev.doc_id) {
-            if (posting.word_pos <= prev.word_pos) {
-              return Status::Corruption(
-                  "posting list: word positions not strictly ascending");
-            }
-            if (posting.node_id < prev.node_id) {
-              return Status::Corruption(
-                  "posting list: node ids out of order within a document");
-            }
-          }
-        }
-        prev = posting;
-        has_prev = true;
-      }
-    }
-    if (docs_seen != doc_frequency) {
-      return Status::Corruption("posting list: doc_frequency mismatch");
-    }
-    if (nodes_seen != node_frequency) {
-      return Status::Corruption("posting list: node_frequency mismatch");
-    }
-    return Status::OK();
-  }
-  uint32_t docs_seen = 0;
-  uint32_t nodes_seen = 0;
-  for (size_t i = 0; i < postings.size(); ++i) {
-    const Posting& posting = postings[i];
-    const bool new_doc = i == 0 || posting.doc_id != postings[i - 1].doc_id;
-    if (new_doc) ++docs_seen;
-    if (new_doc || posting.node_id != postings[i - 1].node_id) ++nodes_seen;
-    if (i == 0) continue;
-    const Posting& prev = postings[i - 1];
-    if (posting.doc_id < prev.doc_id) {
-      return Status::Corruption("posting list: doc ids out of order");
-    }
-    if (posting.doc_id == prev.doc_id) {
-      if (posting.word_pos <= prev.word_pos) {
-        return Status::Corruption(
-            "posting list: word positions not strictly ascending");
-      }
-      if (posting.node_id < prev.node_id) {
-        return Status::Corruption(
-            "posting list: node ids out of order within a document");
-      }
-    }
-  }
-  if (docs_seen != doc_frequency) {
-    return Status::Corruption("posting list: doc_frequency mismatch");
-  }
-  if (nodes_seen != node_frequency) {
-    return Status::Corruption("posting list: node_frequency mismatch");
-  }
-  return Status::OK();
+  return ForEachValidated(*this, [](const Posting&, uint32_t, bool) {});
 }
 
 Result<InvertedIndex> InvertedIndex::Build(storage::Database* db,
@@ -557,31 +462,65 @@ Result<InvertedIndex> InvertedIndex::FromPostings(
   return out;
 }
 
-const PostingList* InvertedIndex::Lookup(std::string_view term) const {
+text::TermId InvertedIndex::FindId(std::string_view term) const {
   lookups_.fetch_add(1, std::memory_order_relaxed);
   obs::Count(obs::Counter::kIndexLookups);
   const text::Tokenizer tokenizer(tokenizer_options_);
-  const std::string normalized = tokenizer.Normalize(term);
-  const text::TermId id = dictionary_.Lookup(normalized);
-  if (id == text::kInvalidTermId) return nullptr;
-  return &lists_[id];
+  return dictionary_.Lookup(tokenizer.Normalize(term));
 }
 
-const PostingList* InvertedIndex::LookupId(text::TermId id) const {
+Result<const PostingList*> InvertedIndex::Admit(text::TermId id) const {
+  const PostingList& list = lists_[id];
+  if (!list.is_compressed() || list.metadata() != nullptr) return &list;
+  std::lock_guard<std::mutex> lock(ScrubMutex(&list));
+  if (list.metadata() == nullptr) {
+    const Status status = list.Scrub();
+    if (!status.ok()) return ListCorruption(id, status);
+    obs::Count(obs::Counter::kIndexListsScrubbed);
+  }
+  return &list;
+}
+
+Status InvertedIndex::ListCorruption(text::TermId id,
+                                     const Status& status) const {
+  return Status::Corruption("index list " + std::to_string(id) + " ('" +
+                            dictionary_.TermOf(id) + "'): " + status.message());
+}
+
+Result<const PostingList*> InvertedIndex::Lookup(std::string_view term) const {
+  const text::TermId id = FindId(term);
+  if (id == text::kInvalidTermId) return nullptr;
+  return Admit(id);
+}
+
+Result<const PostingList*> InvertedIndex::LookupId(text::TermId id) const {
   lookups_.fetch_add(1, std::memory_order_relaxed);
   obs::Count(obs::Counter::kIndexLookups);
   if (id >= lists_.size()) return nullptr;
-  return &lists_[id];
+  return Admit(id);
+}
+
+Result<std::vector<Posting>> InvertedIndex::DecodeList(text::TermId id) const {
+  std::vector<Posting> postings;
+  if (id >= lists_.size()) return postings;
+  postings.reserve(lists_[id].size());
+  const Status status = ForEachValidated(
+      lists_[id], [&postings](const Posting& posting, uint32_t, bool) {
+        postings.push_back(posting);
+      });
+  if (!status.ok()) return ListCorruption(id, status);
+  return postings;
 }
 
 uint64_t InvertedIndex::TermFrequency(std::string_view term) const {
-  const PostingList* list = Lookup(term);
-  return list == nullptr ? 0 : list->size();
+  const text::TermId id = FindId(term);
+  return id == text::kInvalidTermId ? 0 : lists_[id].size();
 }
 
 double InvertedIndex::InverseDocumentFrequency(std::string_view term) const {
-  const PostingList* list = Lookup(term);
-  const uint64_t df = list == nullptr ? 0 : list->doc_frequency;
+  const text::TermId id = FindId(term);
+  const uint64_t df =
+      id == text::kInvalidTermId ? 0 : lists_[id].doc_frequency;
   return std::log(static_cast<double>(stats_.num_documents + 1) /
                   static_cast<double>(df + 1)) +
          1.0;
@@ -608,8 +547,13 @@ IndexResidency InvertedIndex::MemoryUsage() const {
   for (const PostingList& list : lists_) {
     out.postings_bytes += list.PostingBytes();
     out.skip_bytes += list.skips.capacity() * sizeof(SkipEntry);
-    out.doc_offset_bytes += list.doc_offsets.capacity() *
-                            sizeof(std::pair<storage::DocId, uint32_t>);
+    if (const PostingMetadata* metadata = list.metadata()) {
+      out.metadata_bytes +=
+          sizeof(PostingMetadata) +
+          metadata->doc_offsets.capacity() * sizeof(metadata->doc_offsets[0]) +
+          metadata->block_max.capacity() * sizeof(uint32_t);
+      ++out.lists_with_metadata;
+    }
     out.num_postings += list.size();
     if (list.is_compressed()) {
       ++out.compressed_lists;
@@ -842,7 +786,7 @@ Result<InvertedIndex> InvertedIndex::LoadFromFile(const std::string& path,
                                     ": byte region exceeds 4 GiB");
         }
         list.skips.push_back(SkipEntry{first_doc, first_pos,
-                                       b * kSkipInterval, 0, first_node,
+                                       b * kSkipInterval, first_node,
                                        static_cast<uint32_t>(tail_offset),
                                        static_cast<uint32_t>(tail_bytes)});
         if (mapping == nullptr) list.blocks.append(blob.data(), tail_bytes);
@@ -883,7 +827,7 @@ Result<InvertedIndex> InvertedIndex::LoadFromFile(const std::string& path,
         window[fill++] = Posting{prev_doc, prev_node, prev_pos};
         if (fill == kSkipInterval || j + 1 == count) {
           SkipEntry entry{window[0].doc_id, window[0].word_pos, block_base,
-                          0, window[0].node_id,
+                          window[0].node_id,
                           static_cast<uint32_t>(list.blocks.size())};
           codec::EncodeBlockTail(codec::TailFormat::kV4, AsTriples(window),
                                  fill, &list.blocks);
@@ -930,49 +874,33 @@ Result<InvertedIndex> InvertedIndex::LoadFromFile(const std::string& path,
                               " trailing bytes");
   }
   // Legacy formats always take the scrub: the transcode above decoded
-  // every posting anyway, so validation is nearly free there. Only a v3
-  // open has an O(bytes) scrub worth skipping.
+  // every posting anyway, so validation is nearly free there. Only a
+  // v3/v4 open has an O(bytes) scrub worth deferring to each list's
+  // first lookup (trust mode; see InvertedIndex::Lookup).
   const bool verify = options.verify_on_open || options.decode_postings ||
                       out.format_version_ < 3;
   for (PostingList& list : out.lists_) {
-    if (list.is_compressed() || (list.postings.empty() &&
-                                 list.num_encoded == 0 &&
-                                 !options.decode_postings)) {
-      if (verify) {
-        TIX_RETURN_IF_ERROR(list.FinishCompressed());
-      } else if (list.num_encoded > 0) {
-        // Trust mode: no decode at open. doc_offsets stay empty (the
-        // seek paths decode single blocks lazily) and block-max bounds
-        // become the never-prune sentinel — UINT32_MAX is always a
-        // valid upper bound, whereas 0 would wrongly prune every block.
-        if (list.skips.size() != list.num_blocks()) {
-          return Status::Corruption(
-              "posting list: block directory size mismatch");
-        }
-        list.max_doc_count = UINT32_MAX;
-        for (SkipEntry& skip : list.skips) skip.max_doc_count = UINT32_MAX;
-        list.cache_id = DecodedBlockCache::NextListId();
-      }
-      if (options.decode_postings) {
-        // Validated above; now expand to the legacy representation and
-        // drop the compressed one.
-        std::vector<Posting> decoded = list.DecodeAll();
-        list.postings = std::move(decoded);
-        list.blocks.clear();
-        list.blocks.shrink_to_fit();
-        list.mapped_blocks = std::string_view();
-        list.num_encoded = 0;
-        // 0 is the "never cached" sentinel: NextListId() never mints it
-        // and the DecodedBlockCache rejects it, so a decoded-then-reused
-        // list can never alias another list's cached blocks.
-        list.cache_id = 0;
-        list.skips.clear();
-        list.doc_offsets.clear();
-        list.max_doc_count = 0;
-        TIX_RETURN_IF_ERROR(list.DebugCheckSorted());
-        list.BuildSkips();
-      }
-    } else {
+    if (!list.postings.empty()) {
+      // Legacy decoded load.
+      TIX_RETURN_IF_ERROR(list.DebugCheckSorted());
+      list.BuildSkips();
+      continue;
+    }
+    if (!list.is_compressed()) continue;  // empty list
+    list.cache_id = DecodedBlockCache::NextListId();
+    if (verify) TIX_RETURN_IF_ERROR(list.Scrub());
+    if (options.decode_postings) {
+      // Validated above; now expand to the legacy representation and
+      // drop the compressed one.
+      list.postings = list.DecodeAll();
+      list.blocks.clear();
+      list.blocks.shrink_to_fit();
+      list.mapped_blocks = std::string_view();
+      list.num_encoded = 0;
+      // 0 is the "never cached" sentinel: NextListId() never mints it
+      // and the DecodedBlockCache rejects it, so a decoded-then-reused
+      // list can never alias another list's cached blocks.
+      list.cache_id = 0;
       TIX_RETURN_IF_ERROR(list.DebugCheckSorted());
       list.BuildSkips();
     }

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -42,13 +43,16 @@
 /// because the in-memory tail encoding is byte-identical to the on-disk
 /// one, LoadFromFile mmaps the file read-only and serves posting blocks
 /// straight from the mapping (no copy, no posting materialization; see
-/// storage/mapped_file.h). The streaming validation pass that derives
-/// `doc_offsets` / block-max metadata is optional
-/// (IndexLoadOptions::verify_on_open); skipping it makes open O(lists)
-/// instead of O(bytes). Versions 1 and 2 (flat delta-coded postings,
+/// storage/mapped_file.h). Versions 1 and 2 (flat delta-coded postings,
 /// derived skips) are still read: their postings are transcoded into
 /// owned v4 blocks through a 128-posting window, so even legacy loads
 /// never hold a full decoded vector.
+///
+/// Each list's PostingMetadata (doc offsets, block-max bounds) comes
+/// from the one streaming scrub, which also validates the list: at open
+/// (IndexLoadOptions::verify_on_open) or, in trust mode, on the list's
+/// first Lookup. Either way every list a reader holds is validated and
+/// carries the same metadata.
 
 namespace tix::storage {
 class MappedFile;
@@ -82,14 +86,6 @@ struct SkipEntry {
   uint32_t word_pos = 0;
   /// Index of the block's first posting in `postings`.
   uint32_t offset = 0;
-  /// Block-max score metadata: the largest *total* per-document posting
-  /// count, over all documents with at least one posting in this block.
-  /// A document's count is its count in the whole list, not just the
-  /// slice inside the block, so the value upper-bounds the term's
-  /// contribution to any element of any document the block touches —
-  /// exactly what a top-K merge needs to discard the block against a
-  /// score floor without decoding it.
-  uint32_t max_doc_count = 0;
   /// Block-compressed lists only: node id of the block's first posting.
   /// The head triple (doc_id, first_node, word_pos) lives here — not in
   /// the byte stream — so seeks read it without any decode. Zero on
@@ -107,11 +103,63 @@ struct SkipEntry {
   uint32_t byte_length = 0;
 };
 
+/// Metadata derived from a list's postings: what the seek paths, top-K
+/// pruning and doc-range partitioning read instead of decoding blocks.
+/// Immutable once published (see MetadataSlot).
+struct PostingMetadata {
+  /// (doc_id, offset of the doc's first posting), one entry per distinct
+  /// document — makes doc seeks and doc-range slices O(log n).
+  std::vector<std::pair<storage::DocId, uint32_t>> doc_offsets;
+  /// Block-max bound per skip block: the largest *total* per-document
+  /// posting count over all documents with at least one posting in the
+  /// block. A document's count is its count in the whole list, not just
+  /// the slice inside the block, so the value upper-bounds the term's
+  /// contribution to any element of any document the block touches —
+  /// exactly what a top-K merge needs to discard the block against a
+  /// score floor without decoding it.
+  std::vector<uint32_t> block_max;
+  /// List-level bound: the largest per-document posting count.
+  uint32_t max_doc_count = 0;
+};
+
+/// Owning pointer to a list's PostingMetadata. The writer stores with
+/// release and readers load with acquire, so a reader that sees the
+/// pointer sees fully built metadata. Publish() is const because it
+/// caches data derived from the immutable postings; callers serialize
+/// it (InvertedIndex's first-touch guard, or single-threaded build and
+/// load). Moves are for build and load only.
+class MetadataSlot {
+ public:
+  MetadataSlot() = default;
+  MetadataSlot(MetadataSlot&& other) noexcept { *this = std::move(other); }
+  MetadataSlot& operator=(MetadataSlot&& other) noexcept {
+    if (this != &other) {
+      Publish(std::unique_ptr<const PostingMetadata>(
+          other.ptr_.exchange(nullptr, std::memory_order_acq_rel)));
+    }
+    return *this;
+  }
+  ~MetadataSlot() { Publish(nullptr); }
+
+  const PostingMetadata* get() const {
+    return ptr_.load(std::memory_order_acquire);
+  }
+  /// Replaces the metadata (null clears it). Replacing published
+  /// metadata frees it, so that is for build and load only, while no
+  /// reader holds the list.
+  void Publish(std::unique_ptr<const PostingMetadata> metadata) const {
+    delete ptr_.exchange(metadata.release(), std::memory_order_acq_rel);
+  }
+
+ private:
+  mutable std::atomic<const PostingMetadata*> ptr_{nullptr};
+};
+
 /// All occurrences of one term plus its collection statistics.
 ///
 /// A list lives in one of two representations:
 ///  - *decoded*: `postings` holds every occurrence (hand-built lists in
-///    tests/benches, and the legacy load mode). `skips`/`doc_offsets`
+///    tests/benches, and the legacy load mode). `skips` and metadata()
 ///    are optional acceleration structures derived by BuildSkips();
 ///    every accessor degrades to a plain binary/linear search when they
 ///    are absent, so hand-built lists need no extra setup.
@@ -122,7 +170,9 @@ struct SkipEntry {
 ///    only through BlockCursor (or DecodeAll), which decodes one block
 ///    at a time; the seek paths (LowerBoundDoc / SkipForward /
 ///    BlockBoundAt / DocPostingCount / FirstDocAtOrAfter) run entirely
-///    on skip metadata and never decode.
+///    on the skip directory and metadata() and never decode. A
+///    compressed list must have its metadata (Compress(), Scrub(), or
+///    InvertedIndex::Lookup) before those paths run.
 struct PostingList {
   /// Decoded representation; empty once compressed.
   std::vector<Posting> postings;
@@ -158,12 +208,13 @@ struct PostingList {
   /// (and always present) on compressed lists, where they double as the
   /// block directory.
   std::vector<SkipEntry> skips;
-  /// (doc_id, offset of the doc's first posting), one entry per distinct
-  /// document — makes doc-range partitioning an O(log n) slice.
-  std::vector<std::pair<storage::DocId, uint32_t>> doc_offsets;
-  /// List-level bound: the largest per-document posting count anywhere
-  /// in the list (0 when empty or when BuildSkips has not run).
-  uint32_t max_doc_count = 0;
+  /// Derived doc offsets and block-max bounds; see metadata().
+  MetadataSlot derived;
+
+  /// The list's derived metadata, or null when not derived yet (a
+  /// hand-built list before BuildSkips, an empty list, or a trust-mode
+  /// list no Lookup has touched).
+  const PostingMetadata* metadata() const { return derived.get(); }
 
   bool is_compressed() const { return postings.empty() && num_encoded > 0; }
   /// True when the compressed bytes live in a memory-mapped file rather
@@ -191,9 +242,9 @@ struct PostingList {
                                                : kSkipInterval;
   }
 
-  /// (Re)derives `skips` and `doc_offsets` from `postings`. No-op on a
+  /// (Re)derives `skips` and metadata() from `postings`. No-op on a
   /// compressed list (its metadata was derived when it was compressed
-  /// and must not be rebuilt from the empty vector).
+  /// or scrubbed and must not be rebuilt from the empty vector).
   void BuildSkips();
 
   /// Converts a decoded list to the block-compressed representation:
@@ -201,16 +252,15 @@ struct PostingList {
   /// `postings`. The list must satisfy DebugCheckSorted().
   void Compress();
 
-  /// Finishes a list whose compressed fields (`blocks`, `num_encoded`,
-  /// per-block SkipEntry head/byte_offset, frequencies) were populated
-  /// externally (the loader): one streaming decode pass validates block
-  /// framing and posting order, and derives `doc_offsets` plus block-max
-  /// metadata. Returns Corruption on any violation.
-  Status FinishCompressed();
+  /// The streaming scrub of a list loaded from outside: one decode pass
+  /// validates block framing, posting order and frequencies, then
+  /// publishes metadata(). Returns Corruption on any violation and then
+  /// publishes nothing. Callers serialize it per list (see MetadataSlot).
+  Status Scrub() const;
 
   /// Decodes block `block` into `out` (capacity >= BlockPostingCount).
-  /// Cannot fail on a list validated by FinishCompressed()/Compress();
-  /// returns Corruption on inconsistent framing otherwise.
+  /// Cannot fail on a list validated by Scrub()/Compress(); returns
+  /// Corruption on inconsistent framing otherwise.
   Status DecodeBlock(uint32_t block, Posting* out) const;
 
   /// Materializes every posting (tests, legacy load mode). Identity on
@@ -218,14 +268,12 @@ struct PostingList {
   std::vector<Posting> DecodeAll() const;
 
   /// Bytes resident for this list's postings: the decoded vector, or
-  /// the compressed block bytes. Skip/doc-offset metadata is reported
-  /// separately by InvertedIndex::MemoryUsage().
+  /// the compressed block bytes. Skip entries and metadata() are
+  /// reported separately by InvertedIndex::MemoryUsage().
   size_t PostingBytes() const;
 
-  /// Index of the first posting with doc_id >= doc. Uses `doc_offsets`
-  /// when built; on a compressed list without them (trust-mode open)
-  /// the skip directory narrows the target to one block, which is
-  /// decoded on the spot; else binary-searches the postings directly.
+  /// Index of the first posting with doc_id >= doc. Uses the doc
+  /// offsets when derived; else binary-searches the (decoded) postings.
   size_t LowerBoundDoc(storage::DocId doc) const;
 
   /// First index >= `from` whose posting is at or beyond
@@ -236,14 +284,13 @@ struct PostingList {
   size_t SkipForward(size_t from, storage::DocId doc,
                      uint32_t word_pos) const;
 
-  /// Exact number of postings for `doc`. O(log n) via doc_offsets (or a
-  /// direct binary search when they are absent).
+  /// Exact number of postings for `doc`. O(log n) via the doc offsets
+  /// (or a direct binary search of a decoded list without them).
   uint32_t DocPostingCount(storage::DocId doc) const;
 
   /// Smallest doc id >= `doc` with at least one posting, or UINT32_MAX
-  /// when none. Pure metadata on lists with doc_offsets — never decodes
-  /// a block (the top-K oracle's candidate hop). Trust-mode lists
-  /// decode at most two blocks.
+  /// when none. Pure metadata — never decodes a block (the top-K
+  /// oracle's candidate hop).
   storage::DocId FirstDocAtOrAfter(storage::DocId doc) const;
 
   /// Upper bound on the per-document posting count for every document in
@@ -257,7 +304,7 @@ struct PostingList {
     storage::DocId window_end = UINT32_MAX;
   };
 
-  /// Without skip metadata (hand-built list) the bound degrades to
+  /// Without metadata (hand-built list) the bound degrades to
   /// {UINT32_MAX, from + 1}: never wrong, never useful — callers fall
   /// back to exact per-doc counts.
   BlockBound BlockBoundAt(storage::DocId from) const;
@@ -266,8 +313,9 @@ struct PostingList {
   /// ascending by (doc_id, word_pos), node ids non-decreasing within a
   /// document, and doc/node frequencies consistent with the postings.
   /// Works on either representation (a compressed list is stream-decoded
-  /// block by block). Returns Corruption on violation so a bad on-disk
-  /// index fails loudly instead of silently mis-merging.
+  /// block by block, by the same pass as Scrub()). Returns Corruption on
+  /// violation so a bad on-disk index fails loudly instead of silently
+  /// mis-merging.
   Status DebugCheckSorted() const;
 };
 
@@ -284,19 +332,23 @@ struct IndexResidency {
   /// bytes. Mapped block bytes are excluded — they are file-backed
   /// pages the OS can drop, not heap — and reported in `mapped_bytes`.
   uint64_t postings_bytes = 0;
-  /// Skip entries (block directory + block-max metadata).
+  /// Skip entries (the block directory).
   uint64_t skip_bytes = 0;
-  /// Per-document boundary offsets.
-  uint64_t doc_offset_bytes = 0;
+  /// Derived metadata (doc offsets and block-max bounds) of the lists
+  /// that have it: every non-empty list after a build or a verifying
+  /// open, only the lists looked up so far after a trust-mode open.
+  uint64_t metadata_bytes = 0;
   /// Block bytes served from a read-only mmap (see storage/mapped_file.h).
   uint64_t mapped_bytes = 0;
   uint64_t num_postings = 0;
   uint64_t compressed_lists = 0;
   uint64_t mapped_lists = 0;   ///< Compressed lists backed by a mapping.
   uint64_t decoded_lists = 0;  ///< Non-empty lists in decoded form.
+  /// Non-empty lists whose metadata is resident (see metadata_bytes).
+  uint64_t lists_with_metadata = 0;
 
   uint64_t total_bytes() const {
-    return postings_bytes + skip_bytes + doc_offset_bytes;
+    return postings_bytes + skip_bytes + metadata_bytes;
   }
   /// The headline compression figure: posting-storage bytes per posting
   /// (metadata excluded — it is identical in both representations).
@@ -315,15 +367,13 @@ struct IndexLoadOptions {
   /// Implies a full validation pass and disables mmap (decoded lists
   /// own their postings outright).
   bool decode_postings = false;
-  /// Run the streaming scrub (FinishCompressed) on every list at open:
-  /// validates block framing and posting order and derives doc_offsets
-  /// plus block-max metadata — an O(bytes) decode of the whole index.
-  /// When off ("trust mode": tixd restart of an index it just sealed),
-  /// open cost is O(lists): headers and the block directory are parsed,
-  /// blocks are mapped but never decoded, doc_offsets stay empty (seek
-  /// paths lazily decode single blocks instead) and block-max bounds
-  /// degrade to the never-prune sentinel UINT32_MAX, so query results
-  /// are byte-identical either way. `tix_cli verify` forces this on.
+  /// Run the streaming scrub (PostingList::Scrub) on every list at open:
+  /// an O(bytes) decode of the whole index that fails on any corrupt
+  /// list. When off ("trust mode": tixd and the serving benchmark), open
+  /// is O(lists) — headers and the block directory only — and each list
+  /// is scrubbed on its first Lookup/LookupId instead, where a corrupt
+  /// list fails the lookup. Answers and top-K pruning are identical in
+  /// both modes. `tix_cli verify` forces this on.
   bool verify_on_open = true;
   /// Map v3 files read-only and decode in place instead of copying the
   /// block bytes into owned buffers. Benches turn this off to measure
@@ -336,7 +386,8 @@ struct IndexLoadOptions {
 /// varint coded), in the tradition of IR engines: the dictionary and
 /// postings are loaded once and shared read-only by all queries.
 /// Lookup paths are const and safe to call from concurrent query
-/// threads; the instrumentation counter is atomic.
+/// threads: a trust-mode list's first-touch scrub runs once, under a
+/// per-list guard, and the instrumentation counter is atomic.
 class InvertedIndex {
  public:
   InvertedIndex() = default;
@@ -405,15 +456,27 @@ class InvertedIndex {
 
   /// Postings for a term (already normalized by the caller or not — the
   /// lookup normalizes with the same tokenizer options used at build).
-  /// nullptr when the term does not occur.
-  const PostingList* Lookup(std::string_view term) const;
+  /// OK(nullptr) when the term does not occur. This is the gate every
+  /// reader of postings passes: the returned list is validated and has
+  /// its metadata. After a trust-mode open the first lookup of a list
+  /// scrubs it (counted as obs index_lists_scrubbed); a list that fails
+  /// the scrub returns Corruption on every lookup.
+  Result<const PostingList*> Lookup(std::string_view term) const;
 
-  const PostingList* LookupId(text::TermId id) const;
+  Result<const PostingList*> LookupId(text::TermId id) const;
 
-  /// Total occurrences of the term; 0 when absent.
+  /// Every posting of term `id` (none for an unknown id), decoded and
+  /// validated by the scrub's pass without deriving the list's metadata:
+  /// compaction's bulk read of segments it is about to replace. Returns
+  /// Corruption on a corrupt list.
+  Result<std::vector<Posting>> DecodeList(text::TermId id) const;
+
+  /// Total occurrences of the term; 0 when absent. Reads the list
+  /// header only, so it needs no scrub.
   uint64_t TermFrequency(std::string_view term) const;
 
-  /// Inverse document frequency: log((N + 1) / (df + 1)) + 1.
+  /// Inverse document frequency: log((N + 1) / (df + 1)) + 1. Header
+  /// only, like TermFrequency.
   double InverseDocumentFrequency(std::string_view term) const;
 
   const text::TermDictionary& dictionary() const { return dictionary_; }
@@ -463,6 +526,14 @@ class InvertedIndex {
   }
 
  private:
+  /// The id of `term` (kInvalidTermId when absent), counted as a
+  /// lookup; callers that read only list headers skip the gate.
+  text::TermId FindId(std::string_view term) const;
+  /// The gate: scrubs list `id` (< lists_.size()) on first touch.
+  Result<const PostingList*> Admit(text::TermId id) const;
+  /// `status` from list `id`'s scrub, naming the list.
+  Status ListCorruption(text::TermId id, const Status& status) const;
+
   text::TermDictionary dictionary_;
   std::vector<PostingList> lists_;  // indexed by TermId
   std::shared_ptr<storage::MappedFile> mapping_;

@@ -13,27 +13,6 @@
 
 namespace tix::index {
 
-namespace {
-
-/// Postings of `list` with tombstoned docs removed. `tombstones` is the
-/// sorted subset relevant to the segment's doc range.
-std::vector<Posting> FilterPostings(
-    const PostingList& list, const std::vector<storage::DocId>& tombstones) {
-  std::vector<Posting> postings = list.DecodeAll();
-  if (tombstones.empty()) return postings;
-  std::vector<Posting> kept;
-  kept.reserve(postings.size());
-  for (const Posting& posting : postings) {
-    if (!std::binary_search(tombstones.begin(), tombstones.end(),
-                            posting.doc_id)) {
-      kept.push_back(posting);
-    }
-  }
-  return kept;
-}
-
-}  // namespace
-
 bool IndexSnapshot::IsDeleted(storage::DocId doc) const {
   return std::binary_search(tombstones_.begin(), tombstones_.end(), doc);
 }
@@ -51,14 +30,16 @@ bool IndexSnapshot::IsLiveDocument(storage::DocId doc) const {
          !std::binary_search(deleted_.begin(), deleted_.end(), doc);
 }
 
-uint64_t IndexSnapshot::LiveDocumentFrequency(std::string_view term) const {
+Result<uint64_t> IndexSnapshot::LiveDocumentFrequency(
+    std::string_view term) const {
   uint64_t df = 0;
   for (const std::shared_ptr<const Segment>& segment : segments_) {
-    const PostingList* list = segment->index().Lookup(term);
+    TIX_ASSIGN_OR_RETURN(const PostingList* list,
+                         segment->index().Lookup(term));
     if (list == nullptr || list->empty()) continue;
     df += list->doc_frequency;
     // Subtract tombstoned docs that contain the term: exact via the
-    // per-doc posting counts (skip metadata only, no block decode).
+    // per-doc posting counts (doc offsets only, no block decode).
     const SegmentInfo& info = segment->info();
     auto lo = std::lower_bound(tombstones_.begin(), tombstones_.end(),
                                info.min_doc);
@@ -69,8 +50,9 @@ uint64_t IndexSnapshot::LiveDocumentFrequency(std::string_view term) const {
   return df;
 }
 
-double IndexSnapshot::InverseDocumentFrequency(std::string_view term) const {
-  const uint64_t df = LiveDocumentFrequency(term);
+Result<double> IndexSnapshot::InverseDocumentFrequency(
+    std::string_view term) const {
+  TIX_ASSIGN_OR_RETURN(const uint64_t df, LiveDocumentFrequency(term));
   return std::log(static_cast<double>(live_documents_ + 1) /
                   static_cast<double>(df + 1)) +
          1.0;
@@ -365,9 +347,15 @@ Status SegmentedIndex::Compact() {
     const InvertedIndex& index = segment->index();
     const text::TermDictionary& dictionary = index.dictionary();
     for (text::TermId id = 0; id < dictionary.size(); ++id) {
-      const PostingList* list = index.LookupId(id);
-      if (list == nullptr || list->empty()) continue;
-      std::vector<Posting> postings = FilterPostings(*list, segment_tombs);
+      // Validated in the same pass, so a corrupt trust-mode list fails
+      // the compaction; no metadata is derived for a segment about to
+      // be replaced. Then drop the tombstoned docs.
+      TIX_ASSIGN_OR_RETURN(std::vector<Posting> postings,
+                           index.DecodeList(id));
+      std::erase_if(postings, [&segment_tombs](const Posting& posting) {
+        return std::binary_search(segment_tombs.begin(), segment_tombs.end(),
+                                  posting.doc_id);
+      });
       if (postings.empty()) continue;
       for (const Posting& posting : postings) {
         text_nodes.insert(posting.node_id);

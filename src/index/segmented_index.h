@@ -62,13 +62,14 @@ class IndexSnapshot {
   uint64_t total_postings() const { return total_postings_; }
 
   /// Live document frequency of `term`: per-segment df minus tombstoned
-  /// docs that contain the term (exact, via DocPostingCount — pure skip
-  /// metadata, no block decode).
-  uint64_t LiveDocumentFrequency(std::string_view term) const;
+  /// docs that contain the term (exact, via DocPostingCount on the
+  /// list's doc offsets — no block decode). Looks the term up through
+  /// each segment's gate, so it fails with Corruption on a corrupt list.
+  Result<uint64_t> LiveDocumentFrequency(std::string_view term) const;
   /// log((live + 1) / (live_df + 1)) + 1 — byte-identical to
   /// InvertedIndex::InverseDocumentFrequency over a bulk-built index of
   /// the same live documents.
-  double InverseDocumentFrequency(std::string_view term) const;
+  Result<double> InverseDocumentFrequency(std::string_view term) const;
 
  private:
   friend class SegmentedIndex;

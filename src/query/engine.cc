@@ -242,9 +242,9 @@ Result<QueryOutput> QueryEngine::ExecuteText(std::string_view text) {
   return Execute(query);
 }
 
-double QueryEngine::TermIdf(std::string_view term) const {
-  return snapshot_ != nullptr ? snapshot_->InverseDocumentFrequency(term)
-                              : index_->InverseDocumentFrequency(term);
+Result<double> QueryEngine::TermIdf(std::string_view term) const {
+  if (snapshot_ != nullptr) return snapshot_->InverseDocumentFrequency(term);
+  return index_->InverseDocumentFrequency(term);
 }
 
 Result<storage::DocumentInfo> QueryEngine::ResolveDocument(
@@ -300,12 +300,13 @@ Result<std::vector<exec::ScoredElement>> QueryEngine::RunScoringJoin(
 
 Result<std::unique_ptr<algebra::Scorer>> QueryEngine::MakeScorerForClause(
     const ScoreClause& clause, const algebra::IrPredicate& predicate) const {
-  auto phrase_idf = [&] {
+  auto phrase_idf = [&]() -> Result<std::vector<double>> {
     std::vector<double> idf;
     for (const algebra::WeightedPhrase& phrase : predicate.phrases) {
       double value = 0.0;
       for (const std::string& term : phrase.terms) {
-        value = std::max(value, TermIdf(term));
+        TIX_ASSIGN_OR_RETURN(const double term_idf, TermIdf(term));
+        value = std::max(value, term_idf);
       }
       idf.push_back(value);
     }
@@ -316,8 +317,9 @@ Result<std::unique_ptr<algebra::Scorer>> QueryEngine::MakeScorerForClause(
     scorer = std::make_unique<algebra::ComplexProximityScorer>(
         predicate.Weights());
   } else if (clause.scorer == "tfidf") {
+    TIX_ASSIGN_OR_RETURN(std::vector<double> idf, phrase_idf());
     scorer = std::make_unique<algebra::TfIdfScorer>(predicate.Weights(),
-                                                    phrase_idf());
+                                                    std::move(idf));
   } else if (clause.scorer == "bm25") {
     uint64_t total_words = 0;
     for (const storage::DocumentInfo& info : db_->documents()) {
@@ -327,8 +329,9 @@ Result<std::unique_ptr<algebra::Scorer>> QueryEngine::MakeScorerForClause(
         db_->num_nodes() == 0 ? 1.0
                               : static_cast<double>(total_words) /
                                     static_cast<double>(db_->num_nodes());
+    TIX_ASSIGN_OR_RETURN(std::vector<double> idf, phrase_idf());
     scorer = std::make_unique<algebra::LengthNormalizedScorer>(
-        predicate.Weights(), phrase_idf(), average_span);
+        predicate.Weights(), std::move(idf), average_span);
   } else {
     scorer =
         std::make_unique<algebra::WeightedCountScorer>(predicate.Weights());

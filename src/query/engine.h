@@ -156,7 +156,7 @@ class QueryEngine {
       const ScoreClause& clause, const algebra::IrPredicate& predicate) const;
   /// IDF from the snapshot's live documents (snapshot mode) or the
   /// monolithic index.
-  double TermIdf(std::string_view term) const;
+  Result<double> TermIdf(std::string_view term) const;
   /// Document-name lookup. In snapshot mode only live documents resolve
   /// (first live match in doc order, matching the monolithic engine's
   /// first-match rule over a database of the same live docs); deleted or

@@ -592,7 +592,7 @@ std::string EncodeLegacyIndex(const InvertedIndex& index,
   blob += dict;
   PutVarint64(&blob, index.stats().num_terms);
   for (text::TermId id = 0; id < index.stats().num_terms; ++id) {
-    const PostingList* list = index.LookupId(id);
+    const PostingList* list = Unwrap(index.LookupId(id));
     const std::vector<Posting> postings = list->DecodeAll();
     PutVarint64(&blob, postings.size());
     PutVarint64(&blob, list->doc_frequency);
@@ -647,8 +647,8 @@ class IndexFormatTest : public ::testing::Test {
     EXPECT_EQ(loaded.stats().num_documents, index_->stats().num_documents)
         << label;
     for (text::TermId id = 0; id < loaded.stats().num_terms; ++id) {
-      const PostingList* got = loaded.LookupId(id);
-      const PostingList* want = index_->LookupId(id);
+      const PostingList* got = Unwrap(loaded.LookupId(id));
+      const PostingList* want = Unwrap(index_->LookupId(id));
       ASSERT_EQ(got->DecodeAll(), want->DecodeAll()) << label << " term " << id;
       EXPECT_EQ(got->doc_frequency, want->doc_frequency) << label;
       EXPECT_EQ(got->node_frequency, want->node_frequency) << label;
@@ -687,7 +687,7 @@ TEST_F(IndexFormatTest, BlockFormatsRoundTripStayingCompressed) {
     // Loaded lists stay block-compressed — no materialized vectors.
     uint64_t compressed_lists = 0;
     for (text::TermId id = 0; id < loaded.stats().num_terms; ++id) {
-      const PostingList* list = loaded.LookupId(id);
+      const PostingList* list = Unwrap(loaded.LookupId(id));
       EXPECT_TRUE(list->postings.empty());
       if (list->is_compressed()) ++compressed_lists;
     }
@@ -745,7 +745,7 @@ TEST_F(IndexFormatTest, DecodePostingsLoadMatchesCompressedLoad) {
   decode.decode_postings = true;
   InvertedIndex expanded = Unwrap(InvertedIndex::LoadFromFile(path, decode));
   for (text::TermId id = 0; id < expanded.stats().num_terms; ++id) {
-    const PostingList* list = expanded.LookupId(id);
+    const PostingList* list = Unwrap(expanded.LookupId(id));
     EXPECT_FALSE(list->is_compressed());
     EXPECT_EQ(list->postings.empty(), list->size() == 0);
   }
@@ -796,7 +796,7 @@ TEST_F(IndexFormatTest, BitFlipsNeverCrashTheLoader) {
       // index: every list was re-validated at load, so decoding cannot
       // trip a check.
       for (text::TermId id = 0; id < result.value().stats().num_terms; ++id) {
-        (void)result.value().LookupId(id)->DecodeAll();
+        (void)Unwrap(result.value().LookupId(id))->DecodeAll();
       }
     }
     // Both outcomes must occur: plenty of flips (counts, deltas that
@@ -815,13 +815,13 @@ TEST(InvertedIndexMoveTest, MovedFromIndexIsValidEmpty) {
   auto db = MakeTestDatabase(dir.path());
   ExpectOk(workload::LoadPaperExample(db.get()));
   InvertedIndex source = Unwrap(InvertedIndex::Build(db.get()));
-  (void)source.Lookup("search");  // bump the lookup counter
+  (void)Unwrap(source.Lookup("search"));  // bump the lookup counter
   ASSERT_GT(source.stats().num_terms, 0u);
 
   InvertedIndex target;
   target = std::move(source);
   EXPECT_GT(target.stats().num_terms, 0u);
-  EXPECT_NE(target.Lookup("search"), nullptr);
+  EXPECT_NE(Unwrap(target.Lookup("search")), nullptr);
 
   // The moved-from index must be indistinguishable from a freshly
   // constructed one — not "valid but unspecified".
@@ -830,19 +830,19 @@ TEST(InvertedIndexMoveTest, MovedFromIndexIsValidEmpty) {
   EXPECT_EQ(source.stats().num_documents, 0u);
   EXPECT_EQ(source.lookups(), 0u);
   EXPECT_EQ(source.dictionary().size(), 0u);
-  EXPECT_EQ(source.Lookup("search"), nullptr);
+  EXPECT_EQ(Unwrap(source.Lookup("search")), nullptr);
   EXPECT_EQ(source.format_version(), InvertedIndex::kCurrentFormatVersion);
   EXPECT_EQ(source.TermFrequency("search"), 0u);
 
   // And fully reusable: move a fresh build back in and query it.
   source = Unwrap(InvertedIndex::Build(db.get()));
-  EXPECT_NE(source.Lookup("search"), nullptr);
+  EXPECT_NE(Unwrap(source.Lookup("search")), nullptr);
 
   // Self-move must be a no-op, not a wipe.
   InvertedIndex& alias = target;
   target = std::move(alias);
   EXPECT_GT(target.stats().num_terms, 0u);
-  EXPECT_NE(target.Lookup("search"), nullptr);
+  EXPECT_NE(Unwrap(target.Lookup("search")), nullptr);
 }
 
 }  // namespace

@@ -243,7 +243,7 @@ TEST_F(PaperExampleExec, RerunningTermJoinIsDeterministic) {
 // ----------------------------------------------------------- OccStreams
 
 TEST_F(PaperExampleExec, SingleTermStream) {
-  TermOccurrenceStream stream(index_->Lookup("internet"));
+  TermOccurrenceStream stream(Unwrap(index_->Lookup("internet")));
   const auto all = stream.DrainAll();
   EXPECT_EQ(all.size(), index_->TermFrequency("internet"));
   for (size_t i = 1; i < all.size(); ++i) {
@@ -254,25 +254,25 @@ TEST_F(PaperExampleExec, SingleTermStream) {
 }
 
 TEST_F(PaperExampleExec, UnknownTermStreamIsEmpty) {
-  TermOccurrenceStream stream(index_->Lookup("zzzmissing"));
+  TermOccurrenceStream stream(Unwrap(index_->Lookup("zzzmissing")));
   EXPECT_FALSE(stream.Peek().has_value());
 }
 
 TEST_F(PaperExampleExec, PhraseFinderFindsExactPhrases) {
-  PhraseFinderStream stream({index_->Lookup("search"),
-                             index_->Lookup("engine")});
+  PhraseFinderStream stream({Unwrap(index_->Lookup("search")),
+                             Unwrap(index_->Lookup("engine"))});
   const auto occurrences = stream.DrainAll();
   // "Search Engine Basics" + "search engine NewsInEssence".
   EXPECT_EQ(occurrences.size(), 2u);
-  PhraseFinderStream reversed({index_->Lookup("engine"),
-                               index_->Lookup("search")});
+  PhraseFinderStream reversed({Unwrap(index_->Lookup("engine")),
+                               Unwrap(index_->Lookup("search"))});
   EXPECT_TRUE(reversed.DrainAll().empty());  // order matters
 }
 
 TEST_F(PaperExampleExec, PhraseFinderThreeTerms) {
-  PhraseFinderStream stream({index_->Lookup("information"),
-                             index_->Lookup("retrieval"),
-                             index_->Lookup("techniques")});
+  PhraseFinderStream stream({Unwrap(index_->Lookup("information")),
+                             Unwrap(index_->Lookup("retrieval")),
+                             Unwrap(index_->Lookup("techniques"))});
   // "Information Retrieval Techniques" (title) and "information
   // retrieval techniques are also being incorporated".
   EXPECT_EQ(stream.DrainAll().size(), 2u);
@@ -284,7 +284,9 @@ TEST_F(PaperExampleExec, GallopingPhraseFinderMatchesLinear) {
         std::vector<std::string>{"information", "retrieval", "techniques"},
         std::vector<std::string>{"the", "internet"}}) {
     std::vector<const index::PostingList*> lists;
-    for (const std::string& term : terms) lists.push_back(index_->Lookup(term));
+    for (const std::string& term : terms) {
+      lists.push_back(Unwrap(index_->Lookup(term)));
+    }
     PhraseFinderStream linear(lists, /*galloping=*/false);
     PhraseFinderStream galloping(lists, /*galloping=*/true);
     const auto linear_out = linear.DrainAll();
@@ -326,7 +328,7 @@ TEST_F(PaperExampleExec, PhraseFinderQuerySingleTerm) {
   // by text node.
   PhraseFinderQuery finder(db_.get(), index_.get(), {"search"});
   const auto out = Unwrap(finder.Run());
-  const index::PostingList* list = index_->Lookup("search");
+  const index::PostingList* list = Unwrap(index_->Lookup("search"));
   ASSERT_NE(list, nullptr);
   uint64_t total = 0;
   for (const PhraseResult& result : out) total += result.count;
@@ -692,8 +694,8 @@ TEST_P(PhraseEquivalenceTest, PhraseFinderEqualsComp3) {
   EXPECT_EQ(Unwrap(natural.Run()), Unwrap(natural_composite.Run()));
   // Galloping advance must agree with the linear merge on highly
   // unbalanced natural lists too.
-  std::vector<const index::PostingList*> lists = {index.Lookup("w00000"),
-                                                  index.Lookup("w00123")};
+  std::vector<const index::PostingList*> lists = {
+      Unwrap(index.Lookup("w00000")), Unwrap(index.Lookup("w00123"))};
   PhraseFinderStream linear(lists, false);
   PhraseFinderStream galloping(lists, true);
   const auto linear_out = linear.DrainAll();

@@ -41,7 +41,7 @@ TEST_F(IndexTest, TermFrequencies) {
 }
 
 TEST_F(IndexTest, PostingsAreSortedAndPointAtTextNodes) {
-  const PostingList* list = index_->Lookup("search");
+  const PostingList* list = Unwrap(index_->Lookup("search"));
   ASSERT_NE(list, nullptr);
   const std::vector<Posting> postings = list->DecodeAll();
   ASSERT_EQ(postings.size(), list->size());
@@ -60,7 +60,7 @@ TEST_F(IndexTest, PostingsAreSortedAndPointAtTextNodes) {
 TEST_F(IndexTest, WordPositionsMatchTokenOffsets) {
   // "newsinessence" occurs exactly once; verify its absolute position
   // equals text-node start + token offset.
-  const PostingList* list = index_->Lookup("newsinessence");
+  const PostingList* list = Unwrap(index_->Lookup("newsinessence"));
   ASSERT_NE(list, nullptr);
   ASSERT_EQ(list->size(), 1u);
   const Posting posting = list->DecodeAll()[0];
@@ -78,7 +78,7 @@ TEST_F(IndexTest, WordPositionsMatchTokenOffsets) {
 }
 
 TEST_F(IndexTest, DocAndNodeFrequencies) {
-  const PostingList* list = index_->Lookup("technologies");
+  const PostingList* list = Unwrap(index_->Lookup("technologies"));
   ASSERT_NE(list, nullptr);
   EXPECT_EQ(list->doc_frequency, 2u);  // articles.xml and reviews.xml
   EXPECT_GE(list->node_frequency, 3u);
@@ -93,7 +93,7 @@ TEST_F(IndexTest, StatsAreConsistent) {
   EXPECT_GT(stats.num_postings, 50u);
   uint64_t total = 0;
   for (text::TermId id = 0; id < stats.num_terms; ++id) {
-    total += index_->LookupId(id)->size();
+    total += Unwrap(index_->LookupId(id))->size();
   }
   EXPECT_EQ(total, stats.num_postings);
 }
@@ -104,8 +104,8 @@ TEST_F(IndexTest, SaveLoadRoundTrip) {
   InvertedIndex loaded = Unwrap(InvertedIndex::LoadFromFile(path));
   EXPECT_EQ(loaded.stats().num_terms, index_->stats().num_terms);
   EXPECT_EQ(loaded.stats().num_postings, index_->stats().num_postings);
-  const PostingList* original = index_->Lookup("search");
-  const PostingList* restored = loaded.Lookup("search");
+  const PostingList* original = Unwrap(index_->Lookup("search"));
+  const PostingList* restored = Unwrap(loaded.Lookup("search"));
   ASSERT_NE(restored, nullptr);
   EXPECT_EQ(restored->DecodeAll(), original->DecodeAll());
   EXPECT_EQ(restored->doc_frequency, original->doc_frequency);
@@ -155,7 +155,7 @@ TEST(IndexCorpusTest, GenerationIsDeterministic) {
     auto db = MakeTestDatabase(dir, 256);
     Unwrap(workload::GenerateCorpus(db.get(), options));
     InvertedIndex index = Unwrap(InvertedIndex::Build(db.get()));
-    const PostingList* list = index.Lookup("xseed");
+    const PostingList* list = Unwrap(index.Lookup("xseed"));
     return list->DecodeAll();
   };
   TempDir dir1, dir2;

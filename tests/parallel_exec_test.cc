@@ -250,8 +250,8 @@ TEST(PlanDocPartitionsTest, CoversWithoutSplittingDocuments) {
   const storage::DocId num_docs =
       static_cast<storage::DocId>(corpus->db->documents().size());
   for (const size_t target : {1u, 2u, 3u, 4u, 8u, 64u}) {
-    const auto plan = PlanDocPartitions(*corpus->index, predicate, num_docs,
-                                        target);
+    const auto plan = Unwrap(
+        PlanDocPartitions(*corpus->index, predicate, num_docs, target));
     ASSERT_FALSE(plan.empty()) << target;
     EXPECT_LE(plan.size(), target) << target;
     // Contiguous cover of [0, num_docs): boundaries are always between
@@ -270,7 +270,8 @@ TEST(PlanDocPartitionsTest, CoversWithoutSplittingDocuments) {
 TEST(PlanDocPartitionsTest, MorePartitionsThanDocuments) {
   auto corpus = MakeCorpus(3);
   const algebra::IrPredicate predicate = ThreePhrasePredicate();
-  const auto plan = PlanDocPartitions(*corpus->index, predicate, 3, 8);
+  const auto plan =
+      Unwrap(PlanDocPartitions(*corpus->index, predicate, 3, 8));
   EXPECT_LE(plan.size(), 3u);
   EXPECT_EQ(plan.front().begin, 0u);
   EXPECT_EQ(plan.back().end, 3u);
@@ -279,7 +280,8 @@ TEST(PlanDocPartitionsTest, MorePartitionsThanDocuments) {
 TEST(PlanDocPartitionsTest, NoDocumentsYieldsNoPartitions) {
   auto corpus = MakeCorpus(2);
   const algebra::IrPredicate predicate = ThreePhrasePredicate();
-  EXPECT_TRUE(PlanDocPartitions(*corpus->index, predicate, 0, 4).empty());
+  EXPECT_TRUE(
+      Unwrap(PlanDocPartitions(*corpus->index, predicate, 0, 4)).empty());
 }
 
 // ------------------------------------------------------- doc-range edge
@@ -334,7 +336,8 @@ TEST(PostingListSkipTest, LowerBoundDocWithAndWithoutOffsets) {
   EXPECT_EQ(list.LowerBoundDoc(7), 7u * 300u);
   EXPECT_EQ(list.LowerBoundDoc(10), list.size());
   list.BuildSkips();
-  EXPECT_EQ(list.doc_offsets.size(), 10u);
+  ASSERT_NE(list.metadata(), nullptr);
+  EXPECT_EQ(list.metadata()->doc_offsets.size(), 10u);
   EXPECT_EQ(list.skips.size(),
             (list.size() + index::kSkipInterval - 1) / index::kSkipInterval);
   EXPECT_EQ(list.LowerBoundDoc(0), 0u);
@@ -378,25 +381,28 @@ TEST(PostingListSkipTest, SkipForwardIsALowerBoundForTheTarget) {
 // ----------------------------------------------------- DebugCheckSorted
 
 TEST(DebugCheckSortedTest, AcceptsValidAndRejectsCorruptLists) {
-  index::PostingList list;
-  list.postings = {{0, 5, 10}, {0, 5, 11}, {1, 9, 2}, {2, 12, 7}};
-  list.doc_frequency = 3;
-  list.node_frequency = 3;
-  ExpectOk(list.DebugCheckSorted());
+  const auto valid = [] {
+    index::PostingList list;
+    list.postings = {{0, 5, 10}, {0, 5, 11}, {1, 9, 2}, {2, 12, 7}};
+    list.doc_frequency = 3;
+    list.node_frequency = 3;
+    return list;
+  };
+  ExpectOk(valid().DebugCheckSorted());
 
-  index::PostingList unsorted = list;
+  index::PostingList unsorted = valid();
   std::swap(unsorted.postings[1], unsorted.postings[2]);
   EXPECT_FALSE(unsorted.DebugCheckSorted().ok());
 
-  index::PostingList duplicate = list;
+  index::PostingList duplicate = valid();
   duplicate.postings[1].word_pos = 10;  // equal (doc, word_pos)
   EXPECT_FALSE(duplicate.DebugCheckSorted().ok());
 
-  index::PostingList bad_df = list;
+  index::PostingList bad_df = valid();
   bad_df.doc_frequency = 2;
   EXPECT_FALSE(bad_df.DebugCheckSorted().ok());
 
-  index::PostingList bad_nf = list;
+  index::PostingList bad_nf = valid();
   bad_nf.node_frequency = 4;
   EXPECT_FALSE(bad_nf.DebugCheckSorted().ok());
 }
@@ -407,9 +413,10 @@ TEST(DebugCheckSortedTest, LoadRebuildsSkipStructures) {
   ExpectOk(corpus->index->SaveToFile(path));
   index::InvertedIndex loaded =
       Unwrap(index::InvertedIndex::LoadFromFile(path));
-  const index::PostingList* list = loaded.Lookup("xq1");
+  const index::PostingList* list = Unwrap(loaded.Lookup("xq1"));
   ASSERT_NE(list, nullptr);
-  EXPECT_FALSE(list->doc_offsets.empty());
+  ASSERT_NE(list->metadata(), nullptr);
+  EXPECT_FALSE(list->metadata()->doc_offsets.empty());
   EXPECT_EQ(list->skips.empty(), list->size() == 0);
   EXPECT_EQ(list->skips.front().offset, 0u);
 }

@@ -538,9 +538,10 @@ TEST(SegmentedIndexTest, LegacyV3SegmentServesBesideV4Seals) {
       ASSERT_EQ(legacy.stats().num_terms, fresh.stats().num_terms);
       for (text::TermId id = 0; id < fresh.stats().num_terms; ++id) {
         const std::string& term = fresh.dictionary().TermOf(id);
-        const index::PostingList* list = legacy.Lookup(term);
+        const index::PostingList* list = Unwrap(legacy.Lookup(term));
         ASSERT_NE(list, nullptr) << term;
-        EXPECT_EQ(list->DecodeAll(), fresh.LookupId(id)->DecodeAll()) << term;
+        EXPECT_EQ(list->DecodeAll(), Unwrap(fresh.LookupId(id))->DecodeAll())
+            << term;
       }
     }
     for (int i = 0; i < 3; ++i) ingest(db.get(), segmented.get());

@@ -128,10 +128,11 @@ TEST(BlockMaxTest, BuildSkipsComputesPerBlockDocMaxima) {
   // its full count to every block it touches, otherwise the bound could
   // undercount an element whose occurrences span blocks. Block 2 holds
   // only doc 2's tail.
-  EXPECT_EQ(list.skips[0].max_doc_count, 140u);
-  EXPECT_EQ(list.skips[1].max_doc_count, 140u);
-  EXPECT_EQ(list.skips[2].max_doc_count, 30u);
-  EXPECT_EQ(list.max_doc_count, 140u);
+  const index::PostingMetadata* metadata = list.metadata();
+  ASSERT_NE(metadata, nullptr);
+  EXPECT_EQ(metadata->block_max,
+            (std::vector<uint32_t>{140u, 140u, 30u}));
+  EXPECT_EQ(metadata->max_doc_count, 140u);
 }
 
 TEST(BlockMaxTest, DocPostingCountIsExact) {
@@ -179,13 +180,15 @@ TEST(BlockMaxTest, ListWithoutSkipsNeverPrunes) {
 TEST(BlockMaxTest, CorpusListsSatisfyTheBoundInvariant) {
   auto corpus = MakeCorpus(10);
   for (const char* term : {"xq1", "xq2", "xpa", "xpb"}) {
-    const index::PostingList* list = corpus->index->Lookup(term);
+    const index::PostingList* list = Unwrap(corpus->index->Lookup(term));
     ASSERT_NE(list, nullptr) << term;
     ASSERT_FALSE(list->skips.empty()) << term;
+    const index::PostingMetadata* metadata = list->metadata();
+    ASSERT_NE(metadata, nullptr) << term;
     // Every document's exact count must be covered by the block bound of
     // every window containing it, and by the list-level bound.
     uint32_t best = 0;
-    for (const auto& [doc, offset] : list->doc_offsets) {
+    for (const auto& [doc, offset] : metadata->doc_offsets) {
       const uint32_t exact = list->DocPostingCount(doc);
       best = std::max(best, exact);
       storage::DocId probe = doc;
@@ -193,7 +196,7 @@ TEST(BlockMaxTest, CorpusListsSatisfyTheBoundInvariant) {
       EXPECT_GE(bound.max_doc_count, exact) << term << " doc " << doc;
       EXPECT_GT(bound.window_end, probe) << term << " doc " << doc;
     }
-    EXPECT_EQ(list->max_doc_count, best) << term;
+    EXPECT_EQ(metadata->max_doc_count, best) << term;
   }
 }
 
@@ -203,7 +206,8 @@ TEST(ScoreBoundOracleTest, DocBoundsDominateEveryElementScore) {
   auto corpus = MakeCorpus(12);
   const algebra::IrPredicate predicate = ThreePhrasePredicate();
   const algebra::WeightedCountScorer scorer(predicate.Weights());
-  ScoreBoundOracle oracle(*corpus->index, predicate);
+  ScoreBoundOracle oracle(
+      Unwrap(LookupPhraseLists(*corpus->index, predicate)));
   ASSERT_EQ(oracle.num_phrases(), predicate.phrases.size());
 
   TermJoin join(corpus->db.get(), corpus->index.get(), &predicate, &scorer);
@@ -228,7 +232,8 @@ TEST(ScoreBoundOracleTest, AbsentTermsBoundPhraseAtZero) {
   algebra::IrPredicate predicate;
   predicate.phrases.push_back(
       algebra::WeightedPhrase{{"xq1", "zz_never_occurs"}, 1.0});
-  ScoreBoundOracle oracle(*corpus->index, predicate);
+  ScoreBoundOracle oracle(
+      Unwrap(LookupPhraseLists(*corpus->index, predicate)));
   std::vector<uint32_t> counts;
   oracle.DocBoundCounts(0, &counts);
   ASSERT_EQ(counts.size(), 1u);
@@ -371,12 +376,12 @@ TEST(SkipToDocTest, PhraseStreamSkipsToMatchingDoc) {
   auto corpus = MakeCorpus(10);
   algebra::IrPredicate predicate;
   predicate.phrases.push_back(algebra::WeightedPhrase{{"xpa", "xpb"}, 1.0});
-  auto streams = MakeOccurrenceStreams(*corpus->index, predicate);
+  auto streams = Unwrap(MakeOccurrenceStreams(*corpus->index, predicate));
   ASSERT_EQ(streams.size(), 1u);
   OccurrenceStream& stream = *streams[0];
   ASSERT_TRUE(stream.Peek().has_value());
   // Collect the reference occurrence list, then re-open and skip.
-  auto reference = MakeOccurrenceStreams(*corpus->index, predicate);
+  auto reference = Unwrap(MakeOccurrenceStreams(*corpus->index, predicate));
   std::vector<Occurrence> all = reference[0]->DrainAll();
   ASSERT_FALSE(all.empty());
   const storage::DocId target = all.back().doc;

@@ -81,8 +81,10 @@ TEST(CorpusTest, PhraseCoOccurrencesAreExactlyPlanted) {
   index::InvertedIndex index = Unwrap(index::InvertedIndex::Build(db.get()));
   // Count adjacencies directly from (decoded) postings.
   auto count_pairs = [&](const char* t1, const char* t2) {
-    const std::vector<index::Posting> p1 = index.Lookup(t1)->DecodeAll();
-    const std::vector<index::Posting> p2 = index.Lookup(t2)->DecodeAll();
+    const std::vector<index::Posting> p1 =
+        Unwrap(index.Lookup(t1))->DecodeAll();
+    const std::vector<index::Posting> p2 =
+        Unwrap(index.Lookup(t2))->DecodeAll();
     uint64_t pairs = 0;
     size_t j = 0;
     for (const auto& posting : p1) {

@@ -27,10 +27,12 @@
 // docs/INDEX.md); 0 disables it so every block access decodes. The
 // default is the built-in budget (16 MiB).
 //
-// --trust-index skips the O(bytes) validation scrub when opening an
-// index or segments (the mode tixd restarts use — see docs/INDEX.md).
-// Results are identical; open is O(lists) instead of O(bytes). The
-// `verify` command ignores the flag and always scrubs.
+// --trust-index defers the validation scrub when opening an index or
+// segments (the mode tixd restarts use — see docs/INDEX.md): open is
+// O(lists) instead of O(bytes), and each posting list is scrubbed on
+// its first lookup instead. Results and top-K pruning are identical; a
+// corrupt list fails the query that reads it. The `verify` command
+// ignores the flag and always scrubs everything.
 //
 // --explain appends the EXPLAIN ANALYZE tree (per-operator wall time,
 // cardinalities and storage counters) after the results; --stats-json
@@ -85,8 +87,9 @@ struct Args {
   bool stats_json = false;
   bool no_checksums = false;
   bool no_pushdown = false;
-  /// Skip the O(bytes) validation scrub at index open (tixd-style trust
-  /// mode). `verify` ignores this — its whole job is the scrub.
+  /// Defer the validation scrub from index open to each list's first
+  /// lookup (tixd-style trust mode). `verify` ignores this — its whole
+  /// job is the scrub.
   bool trust_index = false;
 };
 
@@ -399,7 +402,7 @@ int CmdStats(const Args& args) {
     const tix::index::IndexResidency residency = index.value().MemoryUsage();
     std::printf(
         "  resident:   %s bytes "
-        "(postings %s, skips %s, doc offsets %s; %.2f B/posting)\n",
+        "(postings %s, skips %s, metadata %s; %.2f B/posting)\n",
         tix::FormatWithCommas(static_cast<int64_t>(residency.total_bytes()))
             .c_str(),
         tix::FormatWithCommas(static_cast<int64_t>(residency.postings_bytes))
@@ -407,7 +410,7 @@ int CmdStats(const Args& args) {
         tix::FormatWithCommas(static_cast<int64_t>(residency.skip_bytes))
             .c_str(),
         tix::FormatWithCommas(
-            static_cast<int64_t>(residency.doc_offset_bytes))
+            static_cast<int64_t>(residency.metadata_bytes))
             .c_str(),
         residency.posting_bytes_per_posting());
     std::printf("  mapped:     %s bytes (%zu lists served from mmap)\n",
@@ -415,8 +418,10 @@ int CmdStats(const Args& args) {
                     static_cast<int64_t>(residency.mapped_bytes))
                     .c_str(),
                 residency.mapped_lists);
-    std::printf("  lists:      %zu compressed, %zu decoded\n",
-                residency.compressed_lists, residency.decoded_lists);
+    std::printf("  lists:      %zu compressed, %zu decoded, %zu with "
+                "metadata\n",
+                residency.compressed_lists, residency.decoded_lists,
+                residency.lists_with_metadata);
     const tix::index::BlockCacheStats cache =
         tix::index::DecodedBlockCache::Instance().Stats();
     std::printf(

@@ -155,10 +155,11 @@ int main(int argc, char** argv) {
       return 1;
     }
     db = std::move(opened.value());
-    // Trust-mode open: the segments were sealed (and validated) by this
-    // server or by tix_cli; skipping the O(bytes) scrub makes restart
-    // latency independent of index size. `tix_cli verify` remains the
-    // full-scrub path.
+    // Trust-mode open: the O(bytes) scrub moves from open to each
+    // posting list's first lookup, so restart latency is independent of
+    // index size while every list a query reads is still validated (a
+    // corrupt one fails that query with Corruption). `tix_cli verify`
+    // remains the whole-index scrub.
     tix::index::SegmentedIndexOptions segmented_options;
     segmented_options.load.verify_on_open = false;
     auto seg = tix::index::SegmentedIndex::Open(db_dir, segmented_options);
